@@ -535,16 +535,17 @@ class AdhocMetricsRule(LintRule):
 @register
 class UnlabeledWakeupRule(LintRule):
     """Every blocked-process release inside the simulation kernel must go
-    through :func:`repro.sim.wakeup.wake` so the edge log sees a typed
-    wakeup edge; a bare ``event.succeed()`` produces an unlabeled "event"
-    edge and the critical-path extractor loses the resource attribution
+    through :meth:`Simulator.wake <repro.sim.core.Simulator.wake>` with a
+    resource label so an attached edge log sees a typed wakeup edge; a bare
+    ``event.succeed()`` produces an unlabeled "event" edge and the
+    critical-path extractor loses the resource attribution
     (docs/CRITPATH.md)."""
 
     name = "unlabeled-wakeup"
     description = (
         "no direct X.succeed(...) calls in repro.sim — release waiters via "
-        "repro.sim.wakeup.wake(event, ..., resource=...) so the critical-path "
-        "edge log records who woke whom and why"
+        "sim.wake(event, value, resource, ...) so the critical-path edge log "
+        "records who woke whom and why"
     )
     scopes = ("repro.sim",)
 
@@ -559,7 +560,7 @@ class UnlabeledWakeupRule(LintRule):
                     module,
                     node,
                     "%s.succeed() bypasses the wakeup edge log; call "
-                    "repro.sim.wakeup.wake(...) with a resource label instead"
+                    "sim.wake(...) with a resource label instead"
                     % (_dotted(node.func.value) or "<event>"),
                 )
 

@@ -1,6 +1,6 @@
 """Dynamic simulation sanitizers: lock-order and happens-before checking.
 
-A :class:`Sanitizer` installs as ``sim.monitor`` and receives a callback from
+A :class:`Sanitizer` installs as ``sim.sanitizer`` and receives a callback from
 the kernel and the sync primitives at every interesting point:
 
 * ``on_lock_request`` — a process asked for a lock.  Feeds the **lock-order
@@ -128,7 +128,7 @@ class Sanitizer:
 
     def attach(self, sim) -> "Sanitizer":
         self.sim = sim
-        sim.monitor = self
+        sim.sanitizer = self
         return self
 
     # ------------------------------------------------------------------

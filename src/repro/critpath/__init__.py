@@ -70,11 +70,11 @@ def install_edgelog(target, max_records: int = 4_000_000) -> EdgeLog:
     """
     sim = getattr(target, "sim", target)
     edgelog = EdgeLog(sim, max_records=max_records)
-    sim.edgelog = edgelog
+    sim.set_edgelog(edgelog)
     return edgelog
 
 
 def uninstall_edgelog(target) -> None:
     """Restore the zero-overhead default (no recording)."""
     sim = getattr(target, "sim", target)
-    sim.edgelog = None
+    sim.set_edgelog(None)

@@ -7,18 +7,24 @@ An :class:`EdgeLog` is an opt-in kernel hook (``sim.edgelog``, installed by
 * release sites annotate the event they are about to trigger with a typed
   :class:`Edge` — lock hand-offs, condvar notifies, queue puts, CPU slot
   frees and device channel frees all go through
-  :func:`repro.sim.wakeup.wake`, timeouts and joins are annotated by the
-  kernel itself, and any un-annotated ``succeed()`` (engine-level futures)
-  falls back to a generic ``"event"`` hand-off edge;
+  :meth:`Simulator.wake <repro.sim.core.Simulator.wake>`, timeouts and
+  joins are annotated by the kernel itself, and any un-annotated
+  ``succeed()`` (engine-level futures) falls back to a generic ``"event"``
+  hand-off edge;
 * :meth:`on_resume` appends ``(time, seq, edge)`` to the woken process's
   resume history; :meth:`on_spawn` records each process's parent.
 
 Two invariants make the log useful:
 
-* **Zero overhead when absent.**  Every kernel probe is
-  ``if sim.edgelog is not None:``; the default is ``None`` and recording
-  never advances simulated time, so an un-instrumented run is byte-identical
-  to a pre-EdgeLog run (asserted in ``tests/test_metrics.py``).
+* **Zero overhead when absent.**  The default is ``None``.  The two hot
+  entry points — ``sim.wake`` (every release) and ``sim._call_later``
+  (every CPU burst and device IO completion) — are rebound once, by
+  :meth:`Simulator.set_edgelog <repro.sim.core.Simulator.set_edgelog>`
+  at attach and detach, so without a log they carry no check at all; the
+  other kernel probes are ``if sim.edgelog is not None:``.  Recording
+  never advances simulated time, so an un-instrumented run is
+  byte-identical to a pre-EdgeLog run (asserted in
+  ``tests/test_metrics.py``).
 * **Global sequence numbers.**  ``annotate``/``on_resume``/``on_spawn``
   share one monotonically increasing counter.  An edge is always stamped
   *before* the resume it causes, and a spawn before the child's first

@@ -147,12 +147,12 @@ class LSMEngine:
         """Create or recover an engine and start its background threads."""
         engine = cls(env, name, options)
         yield from engine._recover(record_filter)
-        monitor = env.sim.monitor
-        if monitor is not None:
+        sanitizer = env.sim.sanitizer
+        if sanitizer is not None:
             # Recovery touched the seq counter, WAL and memtable from the
             # opening process; publish that history on the coordinator so
             # the first writer's accesses are ordered after it.
-            monitor.on_sync(engine.coordinator)
+            sanitizer.on_sync(engine.coordinator)
         engine._start_background()
         return engine
 
@@ -250,12 +250,12 @@ class LSMEngine:
     # ------------------------------------------------------------------
 
     def allocate_seqs(self, n: int) -> range:
-        monitor = self.env.sim.monitor
-        if monitor is not None:
+        sanitizer = self.env.sim.sanitizer
+        if sanitizer is not None:
             # The sequence counter is leader-private state: only the current
             # group leader (or recovery, before any writer starts) may touch
             # it.  A race here means two concurrent leaders.
-            monitor.on_access("%s:seq" % self._san_key, write=True, site="allocate_seqs")
+            sanitizer.on_access("%s:seq" % self._san_key, write=True, site="allocate_seqs")
         start = self.seq + 1
         self.seq += n
         return range(start, start + n)
@@ -288,10 +288,10 @@ class LSMEngine:
         faults = self.env.faults
         if faults is not None:
             faults.crash_site("wal-append")
-        monitor = self.env.sim.monitor
-        if monitor is not None:
+        sanitizer = self.env.sim.sanitizer
+        if sanitizer is not None:
             # The WAL writer's buffer is exclusive to the current leader.
-            monitor.on_access("%s:wal" % self._san_key, write=True, site="log_append")
+            sanitizer.on_access("%s:wal" % self._san_key, write=True, site="log_append")
         nbytes = len(payload)
         counters = self.counters
         counters.add("wal_appends")
@@ -344,16 +344,16 @@ class LSMEngine:
     def apply_to_memtable(self, batch: WriteBatch, seqs) -> None:
         if not self.options.enable_memtable:
             return
-        monitor = self.env.sim.monitor
-        if monitor is not None:
+        sanitizer = self.env.sim.sanitizer
+        if sanitizer is not None:
             if self.options.concurrent_memtable:
                 # Concurrent skiplist: internally synchronized, every insert
                 # is a happens-before edge (RocksDB's lock-free memtable).
-                monitor.on_sync(self.memtable)
+                sanitizer.on_sync(self.memtable)
             else:
                 # Exclusive memtable (LevelDB mode): only one writer at a
                 # time may insert; overlap is a data race.
-                monitor.on_access(
+                sanitizer.on_access(
                     "%s:memtable" % self._san_key, write=True, site="apply_to_memtable"
                 )
         for (vtype, key, value), seq in zip(batch, seqs):

@@ -140,12 +140,12 @@ class VersionSet:
 
     def log_and_apply(self, edit: VersionEdit) -> Generator:
         """Persist ``edit`` to the manifest (synced) and install the result."""
-        monitor = self.env.sim.monitor
-        if monitor is not None:
+        sanitizer = self.env.sim.sanitizer
+        if sanitizer is not None:
             # Version installs are serialized under the engine's DB mutex in
             # RocksDB; model the VersionSet as internally synchronized so
             # flush and compaction installs order each other.
-            monitor.on_sync(self)
+            sanitizer.on_sync(self)
         self._manifest.append(edit.encode())
         yield from retry_io(
             self.env, lambda: self._manifest.flush(category="manifest"),

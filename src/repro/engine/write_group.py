@@ -94,12 +94,12 @@ class WriteGroupCoordinator:
         """Full write-path for one batch; returns when it is applied."""
         costs = self.costs
         yield self.cpu.exec(ctx, costs.write_other + costs.group_join, "other")
-        monitor = self.sim.monitor
-        if monitor is not None:
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
             # JoinBatchGroup is an atomic join in RocksDB: the coordinator's
             # _leader_busy/_pending state is internally synchronized, so the
             # join is a happens-before edge between successive writers.
-            monitor.on_sync(self)
+            sanitizer.on_sync(self)
         writer = Writer(ctx, batch, gsn, rtype)
         if not self._leader_busy:
             self._leader_busy = True
@@ -347,11 +347,11 @@ class WriteGroupCoordinator:
             yield engine.publish_cond.wait(writer.ctx, "publish_wait")
 
     def _handover(self) -> None:
-        monitor = self.sim.monitor
-        if monitor is not None:
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
             # Leadership hand-off: the outgoing leader's history must reach
             # the next leader (it will touch the WAL writer and seq counter).
-            monitor.on_sync(self)
+            sanitizer.on_sync(self)
         if self._pending:
             self._pending.popleft().role_event.succeed(("lead",))
         else:

@@ -21,9 +21,10 @@ same name nest and the inner occurrence attributes its own self time.
 **Zones must never span a simulation yield point.**  Zone time is *host*
 time; a generator that yielded mid-zone would charge every interleaved
 process to the open zone and unbalance the LIFO stack.  All instrumented
-sites wrap purely synchronous sections; the kernel's per-dispatch zone
-additionally uses :meth:`ZoneProfiler.unwind` so a Python exception
-escaping a callback cannot leave the stack corrupted.
+sites wrap purely synchronous sections; the kernel's zone around its
+dispatch loop is closed with :meth:`ZoneProfiler.unwind` in a ``finally``
+so a Python exception escaping a callback cannot leave the stack
+corrupted.
 
 Nothing returned from this module may influence the simulation: ``enter``
 returns a stack-depth token (for ``unwind``), not a time, and the
@@ -99,9 +100,10 @@ class ZoneProfiler:
     def unwind(self, depth: int) -> None:
         """Close zones until the stack is back at ``depth``.
 
-        The kernel dispatch site uses this instead of a bare :meth:`leave`:
-        if an exception tears through a process step with zones still open,
-        the next dispatch closes them rather than mis-nesting forever.
+        The kernel's dispatch loop uses this instead of a bare
+        :meth:`leave`: if an exception tears through a process step with
+        zones still open, leaving the loop closes them too rather than
+        mis-nesting forever.
         """
         stack = self._stack
         while len(stack) > depth:

@@ -35,7 +35,6 @@ from typing import Generator, List, Optional
 
 from repro.errors import KVError
 from repro.sim.queues import FIFOQueue
-from repro.sim.wakeup import wake
 
 __all__ = ["Admitted", "ShardLane", "request_skew"]
 
@@ -196,7 +195,7 @@ class ShardLane:
     def _park(self, drain: _Drain) -> Generator:
         drain.parked += 1
         if drain.parked == drain.n_dispatchers:
-            wake(drain.all_parked, resource=drain.resource)
+            self.env.sim.wake(drain.all_parked, resource=drain.resource)
         yield drain.resume
 
     # -- migration freeze ----------------------------------------------------
@@ -223,7 +222,7 @@ class ShardLane:
         if self._drain is None:
             raise RuntimeError("lane %s is not quiescing" % self.name)
         drain, self._drain = self._drain, None
-        wake(drain.resume, resource=drain.resource)
+        self.env.sim.wake(drain.resume, resource=drain.resource)
 
     # -- completion tracking -------------------------------------------------
 
@@ -235,7 +234,7 @@ class ShardLane:
     def _note_maybe_quiet(self) -> None:
         if self._quiet is not None and self.outstanding == 0:
             ev, self._quiet = self._quiet, None
-            wake(ev, resource="lane:%s" % self.name)
+            self.env.sim.wake(ev, resource="lane:%s" % self.name)
 
     def wait_quiet(self) -> Generator:
         """Block until every admitted request has completed."""

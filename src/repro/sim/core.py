@@ -9,9 +9,9 @@ micro-latencies from the paper (e.g. 2.1 us WAL writes) are expressed as
 Events are single-shot: they trigger once, with either a value or an
 exception, and then fan out to all registered callbacks in FIFO order.
 
-Hot-path layout (ROADMAP item 4): this module is the top of the wall-clock
-zone tree, so the common cases are slot-based and allocation-free where the
-semantics allow:
+Hot-path layout: this module is the top of the wall-clock zone tree, so
+the common cases are slot-based and allocation-free where the semantics
+allow:
 
 * an :class:`Event` stores its waiters in a single ``_cb`` slot —
   ``None`` (no waiter), a bare callable (the single-waiter common case), or
@@ -22,8 +22,13 @@ semantics allow:
   ``isinstance`` walk;
 * :class:`Process` resumes drive ``gen.send``/``gen.throw`` directly (the
   bound ``send`` is cached at spawn) instead of allocating a closure per
-  step, and the observability hooks (tracer/monitor/edgelog/profiler) stay
-  exactly one ``is not None`` branch each when disabled.
+  step;
+* every waiter release goes through :meth:`Simulator.wake` and every CPU
+  burst / device IO completion through :meth:`Simulator._call_later`.  The
+  class methods are the only hand-written path; attaching an edgelog
+  (:meth:`Simulator.set_edgelog`) overlays edge-recording variants on the
+  instance that stamp the edge and then run the same code, so no per-call
+  "is an edgelog attached?" check remains on those paths.
 
 Ordering contract: all fast paths preserve the heap ordering key.  The only
 tolerated difference vs. the historical kernel is *within* a single sim-time
@@ -82,7 +87,7 @@ class Event:
         self._ok: Optional[bool] = None
         #: waiter slot: None | callable | list of callables (FIFO).
         self._cb: Any = None
-        #: happens-before clock stamped by the analysis monitor (if any) when
+        #: happens-before clock stamped by the sanitizer (if any) when
         #: the event triggers; joined into the waiter's clock on resume.
         self._hb = None
         #: wakeup edge stamped by the edgelog (if any) at the release site;
@@ -105,25 +110,10 @@ class Event:
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
-        if self._value is not _PENDING:
-            raise SimError("event already triggered")
-        self._value = value
-        self._ok = True
-        sim = self.sim
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.on_send(self)
-        edgelog = sim.edgelog
-        if edgelog is not None and self._edge is None:
-            # Un-annotated trigger (engine-level future): generic hand-off
-            # edge so the critical path still flows through the waker.
-            edgelog.annotate(self, "event")
-        sim._seq = seq = sim._seq + 1
-        rng = sim._perturb_rng
-        _heappush(
-            sim._heap,
-            (sim._now, rng.random() if rng is not None else 0.0, seq, self, _PENDING),
-        )
+        """Trigger successfully.  The trigger is un-annotated: an attached
+        edgelog records a generic ``"event"`` hand-off edge unless the
+        caller stamped a more specific one first."""
+        self.sim.wake(self, value)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -133,9 +123,9 @@ class Event:
             raise SimError("fail() requires an exception instance")
         self._value = exc
         self._ok = False
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_send(self)
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_send(self)
         self.sim._queue_callbacks(self)
         return self
 
@@ -257,9 +247,9 @@ class Process(Event):
         #: sim locks currently owned by this process (repro.sim.sync
         #: maintains this); a process must release them before returning.
         self.held_locks: List[Any] = []
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.on_spawn(self)
+        sanitizer = sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_spawn(self)
         edgelog = sim.edgelog
         if edgelog is not None:
             edgelog.on_spawn(self, sim.current_process, sim._now)
@@ -299,9 +289,9 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.on_receive(self, event)
+        sanitizer = sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_receive(self, event)
         edgelog = sim.edgelog
         if edgelog is not None:
             edgelog.on_resume(self, event, sim._now)
@@ -333,12 +323,9 @@ class Process(Event):
             # future acquirer would hang silently.  Fail loudly instead.
             self._exit_holding_locks()
             return
-        edgelog = self.sim.edgelog
-        if edgelog is not None:
-            # Waker is still `self` here (current_process), so joiners'
-            # paths continue through the finished process's history.
-            edgelog.annotate(self, "process")
-        self.succeed(value)
+        # Waker is still `self` here (current_process), so joiners' paths
+        # continue through the finished process's history.
+        self.sim.wake(self, value, "process")
 
     def _on_error(self, exc: BaseException) -> None:
         if self._cb is not None:
@@ -448,8 +435,9 @@ class Simulator:
         #: and never advances simulated time (see repro.trace).
         self.tracer = NULL_TRACER
         #: analysis hook (see repro.analysis.sanitizer); None = zero overhead.
-        self.monitor = None
-        #: wakeup-edge recorder (see repro.critpath); None = zero overhead.
+        self.sanitizer = None
+        #: wakeup-edge recorder (see repro.critpath); attach and detach it
+        #: only through set_edgelog, which rebinds the release entry points.
         self.edgelog = None
         #: the Process currently executing a step, or None in kernel context.
         self.current_process: Optional["Process"] = None
@@ -512,27 +500,17 @@ class Simulator:
             rank = rng.random() if rng is not None else 0.0
         _heappush(self._heap, (when, rank, self._seq, target, value))
 
-    def _schedule(self, delay: float, event: Event, value: Any) -> None:
-        """Trigger ``event`` (successfully) after ``delay`` seconds."""
-        self._push(self._now + delay, event, value)
-
     def _queue_callbacks(self, event: Event) -> None:
         """Deliver an already-triggered event's callbacks at the current time."""
         self._push(self._now, event, _PENDING)
 
-    def _queue_deferred(self, fn: Callable, arg: Any) -> None:
-        """Run ``fn(arg)`` at the current time on the next loop iteration."""
-        self._push(self._now, (fn, arg), _PENDING)
-
     def _call_later(self, delay: float, fn: Callable, arg: Any) -> None:
         """Run ``fn(arg)`` after ``delay`` seconds — the closure-free burst
-        completion fast path (cpu/device).
+        completion of the CPU and device models.
 
-        Equivalent to ``timeout(delay).add_callback(fn)`` with the same heap
-        ordering key, minus the Timeout event and per-burst closure.  Callers
-        must fall back to a real :class:`Timeout` whenever ``edgelog`` is
-        installed: a Timeout stamps its wakeup edge at creation, and the
-        critical path needs that edge.
+        Same heap ordering key as ``timeout(delay).add_callback(...)``, minus
+        the Timeout event and per-burst closure.  An attached edgelog
+        replaces this with :meth:`_call_later_recording`.
         """
         self._seq += 1
         rng = self._perturb_rng
@@ -547,6 +525,105 @@ class Simulator:
             ),
         )
 
+    def _call_later_recording(self, delay: float, fn: Callable, arg: Any) -> None:
+        """:meth:`_call_later` with an edgelog attached: a real Timeout, which
+        stamps its timer edge at creation (critpath counts those edges)."""
+        self.timeout(delay).add_callback(lambda _ev: fn(arg))
+
+    # -- releasing waiters ---------------------------------------------------
+
+    def wake(
+        self,
+        event: Event,
+        value: Any = None,
+        resource: Optional[str] = None,
+        category: str = "",
+        queued_at: Optional[float] = None,
+        kind: str = "handoff",
+        begin: Optional[float] = None,
+        initiator: Any = None,
+        track: Optional[str] = None,
+    ) -> None:
+        """Trigger ``event`` with ``value``: the one entry point through which
+        every waiter release in the simulation layer goes.
+
+        The edge arguments describe the release for an attached edgelog
+        (:mod:`repro.critpath`): ``resource`` names what released the waiter
+        (``"lock:mem-stage"``, ``"cpu"``, ``"device"``, ``"queue:obm-0"``...)
+        and ``category`` the workload category metrics already use.  For
+        ``kind="resource"`` edges, ``begin``/``queued_at`` delimit the service
+        and queueing intervals and ``initiator`` is the process that
+        requested the activity; hand-offs only need ``queued_at`` (when the
+        waiter began waiting).  Hot callers pass them positionally.
+
+        This method ignores them: with no edgelog it is exactly the trigger.
+        :meth:`set_edgelog` overlays :meth:`_wake_recording`, which stamps
+        the edge and then calls this.  The ``unlabeled-wakeup`` lint rule
+        keeps bare ``succeed()`` calls, which carry no resource label, out
+        of :mod:`repro.sim`.
+        """
+        if event._value is not _PENDING:
+            raise SimError("event already triggered")
+        event._value = value
+        event._ok = True
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_send(event)
+        self._seq = seq = self._seq + 1
+        rng = self._perturb_rng
+        _heappush(
+            self._heap,
+            (self._now, rng.random() if rng is not None else 0.0, seq, event, _PENDING),
+        )
+
+    def _wake_recording(
+        self,
+        event: Event,
+        value: Any = None,
+        resource: Optional[str] = None,
+        category: str = "",
+        queued_at: Optional[float] = None,
+        kind: str = "handoff",
+        begin: Optional[float] = None,
+        initiator: Any = None,
+        track: Optional[str] = None,
+    ) -> None:
+        """:meth:`wake` with an edgelog attached: stamp the edge, then trigger."""
+        if resource is not None:
+            self.edgelog.annotate(
+                event,
+                resource,
+                category=category,
+                kind=kind,
+                begin=begin,
+                queued_at=queued_at,
+                initiator=initiator,
+                track=track,
+            )
+        elif event._edge is None:
+            # Un-annotated trigger (engine-level future): generic hand-off
+            # edge so the critical path still flows through the waker.
+            self.edgelog.annotate(event, "event")
+        # The class method, not self.wake: while attached, that is us.
+        Simulator.wake(self, event, value)
+
+    def set_edgelog(self, edgelog: Any) -> None:
+        """Attach ``edgelog`` (None detaches it) and rebind the entry points.
+
+        The decision "is an edgelog attached?" is taken here, once, instead
+        of on every release or burst: attaching overlays the recording
+        variants of :meth:`wake` and :meth:`_call_later` as instance
+        attributes, and detaching removes them so the class methods — the
+        plain path — are back.  Safe at any point between events.
+        """
+        self.edgelog = edgelog
+        if edgelog is not None:
+            self.wake = self._wake_recording
+            self._call_later = self._call_later_recording
+        else:
+            vars(self).pop("wake", None)
+            vars(self).pop("_call_later", None)
+
     def _crash(self, exc: BaseException) -> None:
         if self._pending_error is None:
             self._pending_error = exc
@@ -558,25 +635,22 @@ class Simulator:
 
         Errors raised by processes with no waiters propagate out of here.
 
-        The loop body exists twice — once bare, once wrapped in the
-        kernel.dispatch profiler zone — so the profiler-off path carries no
-        per-iteration profiler branches at all (the one-branch-off contract,
-        paid once per run() call instead).  Dispatch discriminates deferred
-        ``(fn, arg)`` calls from event deliveries with a single
-        ``type(target) is tuple`` check; event deliveries drain the single
-        ``_cb`` slot without allocating or swapping lists.
+        Dispatch discriminates deferred ``(fn, arg)`` calls from event
+        deliveries with a single ``type(target) is tuple`` check; event
+        deliveries drain the single ``_cb`` slot without allocating or
+        swapping lists.  With a host profiler installed (repro.perf.zones,
+        read once per call) the whole loop runs inside one
+        ``kernel.dispatch`` zone; ``unwind`` in the ``finally`` closes it,
+        and any zone an exception left open inside it, however the loop
+        exits.
         """
         heap = self._heap
         pop = heapq.heappop
         push = _heappush
         limit = _INF if until is None else until
-        # Host profiler, hoisted once per run() call (installed before the
-        # loop starts; see repro.perf.zones).  The zone wraps one dispatch —
-        # the synchronous host work of delivering an event, including every
-        # process step it triggers — and unwind() guarantees the zone stack
-        # survives exceptions tearing through a callback.
         perf = _perf_zones.PROFILER
-        if perf is None:
+        tok = perf.enter("kernel.dispatch") if perf is not None else 0
+        try:
             while heap:
                 if self._pending_error is not None:
                     err, self._pending_error = self._pending_error, None
@@ -605,38 +679,11 @@ class Simulator:
                                 fn(target)
                         else:
                             cb(target)
-        else:
-            while heap:
-                if self._pending_error is not None:
-                    err, self._pending_error = self._pending_error, None
-                    raise err
-                entry = pop(heap)
-                when = entry[0]
-                if when > limit:
-                    push(heap, entry)
-                    self._now = until
-                    return
-                self._now = when
-                tok = perf.enter("kernel.dispatch")
-                target = entry[3]
-                if type(target) is tuple:
-                    target[0](target[1])
-                else:
-                    value = entry[4]
-                    if value is not _PENDING and target._value is _PENDING:
-                        target._value = value
-                        target._ok = True
-                    cb = target._cb
-                    if cb is not None:
-                        target._cb = None
-                        if type(cb) is list:
-                            for fn in cb:
-                                fn(target)
-                        else:
-                            cb(target)
+            if self._pending_error is not None:
+                err, self._pending_error = self._pending_error, None
+                raise err
+            if until is not None:
+                self._now = max(self._now, until)
+        finally:
+            if perf is not None:
                 perf.unwind(tok)
-        if self._pending_error is not None:
-            err, self._pending_error = self._pending_error, None
-            raise err
-        if until is not None:
-            self._now = max(self._now, until)

@@ -19,9 +19,8 @@ breakdown of Figure 6 (WAL / MemTable / WAL lock / MemTable lock / Others).
 from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.sim.core import _PENDING, Event, SimError, Simulator, _heappush
+from repro.sim.core import Event, SimError, Simulator
 from repro.sim.stats import UtilizationTracker
-from repro.sim.wakeup import wake
 from repro.trace.tracer import thread_track
 
 __all__ = ["CPUSet", "ThreadContext"]
@@ -63,23 +62,11 @@ class ThreadContext:
         #: observability layer is on (see repro.metrics.perf_context).
         self.perf = None
 
-    # account_busy/account_wait are the single funnel for every Figure 6
-    # input (CPU bursts, lock hold/wait, WAL flush waits, stalls).  When
-    # tracing is on, each accounted interval is also emitted as a span on
-    # this thread's track — every caller accounts dt = now - start, so the
-    # interval is exactly [now - dt, now].
-
-    def account_busy(self, category: str, dt: float) -> None:
-        self.busy_time += dt
-        self.busy_by_category[category] += dt
-        perf = self.perf
-        if perf is not None:
-            perf.cpu_busy_seconds += dt
-        if self.sim is not None and dt > 0:
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                now = self.sim.now
-                tracer.complete(category, "busy", self.track, now - dt, now)
+    # Every Figure 6 input is accounted in one of two places: CPU bursts in
+    # CPUSet._finish, waits (locks, WAL flushes, stalls, the CPU queue) in
+    # account_wait.  When tracing is on, each accounted interval is also
+    # emitted as a span on this thread's track — every caller accounts
+    # dt = now - start, so the interval is exactly [now - dt, now].
 
     def account_wait(self, category: str, dt: float) -> None:
         self.wait_by_category[category] += dt
@@ -159,56 +146,19 @@ class CPUSet:
             duration *= self.category_scale.get(category, 1.0)
         sim = self.sim
         ev = Event(sim)
+        initiator = sim.current_process
         edgelog = sim.edgelog
         if edgelog is not None:
-            edgelog.bind_track(ctx.track, sim.current_process)
+            edgelog.bind_track(ctx.track, initiator)
+        item = (ctx, duration, category, ev, sim._now, initiator)
         core = self._pick_core(ctx)
-        if core is None:
-            self._enqueue(ctx, duration, category, ev)
-            return ev
-        # Immediate start (the common case: a core is free, so queued_at ==
-        # now and there is no queue wait to account).
-        if (
-            ctx.pinned is None
-            and ctx.last_core is not None
-            and ctx.last_core != core
-        ):
-            duration += self.migration_overhead
-        ctx.last_core = core
-        self._busy[core] = True
-        now = sim._now
-        if edgelog is None:
-            # Closure-free completion, heap push inlined (same ordering key
-            # as Simulator._call_later: next seq at now + duration).
-            sim._seq = seq = sim._seq + 1
-            rng = sim._perturb_rng
-            _heappush(
-                sim._heap,
-                (
-                    now + duration,
-                    rng.random() if rng is not None else 0.0,
-                    seq,
-                    (self._finish_fast, (core, ctx, now, duration, category, ev)),
-                    _PENDING,
-                ),
-            )
-            return ev
-        done = sim.timeout(duration)
-        initiator = sim.current_process
-        done.add_callback(
-            lambda _ev: self._finish(
-                core, ctx, now, duration, category, ev, now, initiator
-            )
-        )
-        return ev
-
-    def _enqueue(self, ctx: ThreadContext, duration, category, ev) -> None:
-        sim = self.sim
-        item = (ctx, duration, category, ev, sim._now, sim.current_process)
-        if ctx.pinned is not None:
+        if core is not None:
+            self._start(core, item)
+        elif ctx.pinned is not None:
             self._pinned_waiting[ctx.pinned].append(item)
         else:
             self._global_waiting.append(item)
+        return ev
 
     def _pick_core(self, ctx: ThreadContext) -> Optional[int]:
         if ctx.pinned is not None:
@@ -240,30 +190,16 @@ class CPUSet:
             duration += self.migration_overhead
         ctx.last_core = core
         self._busy[core] = True
-        if sim.edgelog is None:
-            # Closure-free burst completion: same heap ordering key as the
-            # Timeout (one entry, next seq, now+duration), minus the Timeout
-            # event and per-burst closure.  Only valid with no edgelog — a
-            # Timeout stamps its wakeup edge at creation.
-            sim._call_later(
-                duration,
-                self._finish_fast,
-                (core, ctx, now, duration, category, ev),
-            )
-            return
-        done = sim.timeout(duration)
-        done.add_callback(
-            lambda _ev: self._finish(
-                core, ctx, now, duration, category, ev, queued_at, initiator
-            )
+        sim._call_later(
+            duration,
+            self._finish,
+            (core, ctx, now, duration, category, ev, queued_at, initiator),
         )
 
-    def _finish_fast(self, item: Tuple) -> None:
-        """Burst completion for the no-edgelog common case: identical
-        accounting (and tracer-event order) to :meth:`_finish` with
-        mark_busy/account_busy inlined, and the wake is a bare ``succeed``
-        (with no edgelog, :func:`wake` reduces to exactly that)."""
-        core, ctx, started, duration, category, ev = item
+    def _finish(self, item: Tuple) -> None:
+        """Burst completion: core and thread busy-time accounting, hand the
+        core to the next queued burst, then release the waiter."""
+        core, ctx, started, duration, category, ev, queued_at, initiator = item
         sim = self.sim
         end = sim._now
         tracker = self.trackers[core]
@@ -280,6 +216,7 @@ class CPUSet:
                 series.add_interval(started, end, 1.0)
         tracer = sim.tracer
         if tracer.enabled:
+            # Core-occupancy view: one row per core, labelled by the burst.
             tracer.complete(
                 category,
                 "core",
@@ -302,52 +239,10 @@ class CPUSet:
             self._start(core, pinned.popleft())
         elif self._global_waiting:
             self._start(core, self._global_waiting.popleft())
-        ev.succeed(None)  # lint: disable=unlabeled-wakeup  (edgelog is None: wake() reduces to succeed)
-
-    def _finish(
-        self,
-        core: int,
-        ctx: ThreadContext,
-        started: float,
-        duration: float,
-        category: str,
-        ev: Event,
-        queued_at: float,
-        initiator,
-    ) -> None:
-        end = self.sim.now
-        self.trackers[core].mark_busy(started, end)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            # Core-occupancy view: one row per core, labelled by the burst.
-            tracer.complete(
-                category,
-                "core",
-                self._tracks[core],
-                started,
-                end,
-                args={"thread": ctx.name},
-            )
-        ctx.account_busy(category, duration)
-        self.busy_by_kind[ctx.kind] += duration
-        self._busy[core] = False
-        self._dispatch(core)
-        wake(
-            ev,
-            resource="cpu",
-            category=category,
-            kind="resource",
-            begin=started,
-            queued_at=queued_at,
-            initiator=initiator,
-            track=self._tracks[core],
+        sim.wake(
+            ev, None, "cpu", category, queued_at,
+            "resource", started, initiator, self._tracks[core],
         )
-
-    def _dispatch(self, core: int) -> None:
-        if self._pinned_waiting[core]:
-            self._start(core, self._pinned_waiting[core].popleft())
-        elif self._global_waiting:
-            self._start(core, self._global_waiting.popleft())
 
     # -- metrics -------------------------------------------------------------
 

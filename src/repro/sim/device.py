@@ -20,7 +20,6 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
 from repro.sim.stats import Counter, TimeSeries
-from repro.sim.wakeup import wake
 
 __all__ = [
     "DeviceSpec",
@@ -210,29 +209,17 @@ class StorageDevice:
             factor = self.category_scale.get(category, 1.0)
             setup *= factor
             transfer *= factor
-        started = self.sim.now
+        sim = self.sim
+        started = sim._now
         setup_end = started + setup
         pipe_free = self._pipe_free_at[kind]
         transfer_start = max(setup_end, pipe_free)
         transfer_end = transfer_start + transfer
         self._pipe_free_at[kind] = transfer_end
-        sim = self.sim
-        if sim.edgelog is None:
-            # Closure-free IO completion: same heap ordering key as the
-            # Timeout (one entry, next seq), minus the Timeout event and
-            # per-IO closure.  Only valid with no edgelog — a Timeout stamps
-            # its wakeup edge at creation.
-            sim._call_later(
-                transfer_end - started,
-                self._finish_fast,
-                (channel, kind, nbytes, ev, category, started, fault),
-            )
-            return
-        done = sim.timeout(transfer_end - started)
-        done.add_callback(
-            lambda _ev: self._finish(
-                channel, kind, nbytes, ev, category, started, queued_at, initiator, fault
-            )
+        sim._call_later(
+            transfer_end - started,
+            self._finish,
+            (channel, kind, nbytes, ev, category, started, queued_at, initiator, fault),
         )
 
     def _kc(self, kind: str, category: str) -> str:
@@ -241,143 +228,51 @@ class StorageDevice:
             label = self._kc_labels[(kind, category)] = "%s:%s" % (kind, category)
         return label
 
-    def _finish_fast(self, item: Tuple) -> None:
-        """IO completion for the no-edgelog common case: identical accounting
-        to :meth:`_finish`, but the wake is a bare ``succeed`` (with no
-        edgelog, :func:`wake` reduces to exactly that)."""
-        channel, kind, nbytes, ev, category, started, fault = item
+    def _finish(self, item: Tuple) -> None:
+        """IO completion: byte and IO accounting, hand the channel to the
+        next queued IO, then release the waiter — or fail it with the
+        injected error, after accounting the prefix a torn write moved."""
+        channel, kind, nbytes, ev, category, started, queued_at, initiator, fault = item
         sim = self.sim
         now = sim._now
         self.busy_channel_time += now - started
-        if fault is not None and fault[0] == "fail":
-            exc = fault[1]
-            moved = getattr(exc, "completed_bytes", 0) or 0
-            if moved:
-                self.bytes_by_category.add(category, moved)
-                self.bytes_by_kind.add(kind, moved)
-                self.bytes_by_kind.add(self._kc(kind, category), moved)
-                series = self.bandwidth_series.get(category)
-                if series is None:
-                    series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-                series.add(now, moved)
+        exc = fault[1] if fault is not None and fault[0] == "fail" else None
+        if exc is not None:
+            nbytes = getattr(exc, "completed_bytes", 0) or 0
+        label = self._kc(kind, category)
+        if exc is None or nbytes:
+            self.bytes_by_category.add(category, nbytes)
+            self.bytes_by_kind.add(kind, nbytes)
+            self.bytes_by_kind.add(label, nbytes)
+            series = self.bandwidth_series.get(category)
+            if series is None:
+                series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
+            series.add(now, nbytes)
+        if exc is None:
+            self.io_count.add(kind)
+            self.io_count.add(label)
+        else:
             self.io_count.add("%s:fault" % kind)
-            tracer = sim.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    self._kc(kind, category),
-                    "device",
-                    self._ch_tracks[channel],
-                    started,
-                    now,
-                    args={"bytes": moved, "fault": exc.code},
-                )
-            if self._queue:
-                self._start(channel, *self._queue.popleft())
-            else:
-                self._free_channels.append(channel)
-            ev.fail(exc)
-            return
-        self.bytes_by_category.add(category, nbytes)
-        self.bytes_by_kind.add(kind, nbytes)
-        self.bytes_by_kind.add(self._kc(kind, category), nbytes)
-        self.io_count.add(kind)
-        self.io_count.add(self._kc(kind, category))
-        series = self.bandwidth_series.get(category)
-        if series is None:
-            series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-        series.add(now, nbytes)
         tracer = sim.tracer
         if tracer.enabled:
+            args = {"bytes": nbytes}
+            if exc is not None:
+                args["fault"] = exc.code
             tracer.complete(
-                self._kc(kind, category),
-                "device",
-                self._ch_tracks[channel],
-                started,
-                now,
-                args={"bytes": nbytes},
+                label, "device", self._ch_tracks[channel], started, now, args=args
             )
+        # Channel/queue bookkeeping happens whatever the outcome, or a single
+        # injected error would leak a channel forever.
         if self._queue:
             self._start(channel, *self._queue.popleft())
         else:
             self._free_channels.append(channel)
-        ev.succeed(None)  # lint: disable=unlabeled-wakeup  (edgelog is None: wake() reduces to succeed)
-
-    def _finish(
-        self,
-        channel: int,
-        kind: str,
-        nbytes: int,
-        ev: Event,
-        category: str,
-        started: float,
-        queued_at: float,
-        initiator,
-        fault=None,
-    ) -> None:
-        now = self.sim.now
-        self.busy_channel_time += now - started
-        if fault is not None and fault[0] == "fail":
-            # Channel/queue bookkeeping must happen regardless of outcome, or
-            # a single injected error would leak a channel forever.
-            exc = fault[1]
-            moved = getattr(exc, "completed_bytes", 0) or 0
-            if moved:
-                self.bytes_by_category.add(category, moved)
-                self.bytes_by_kind.add(kind, moved)
-                self.bytes_by_kind.add("%s:%s" % (kind, category), moved)
-                series = self.bandwidth_series.get(category)
-                if series is None:
-                    series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-                series.add(now, moved)
-            self.io_count.add("%s:fault" % kind)
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    "%s:%s" % (kind, category),
-                    "device",
-                    "device:ch-%d" % channel,
-                    started,
-                    now,
-                    args={"bytes": moved, "fault": exc.code},
-                )
-            if self._queue:
-                self._start(channel, *self._queue.popleft())
-            else:
-                self._free_channels.append(channel)
+        if exc is not None:
             ev.fail(exc)
             return
-        self.bytes_by_category.add(category, nbytes)
-        self.bytes_by_kind.add(kind, nbytes)
-        self.bytes_by_kind.add("%s:%s" % (kind, category), nbytes)
-        self.io_count.add(kind)
-        self.io_count.add("%s:%s" % (kind, category))
-        series = self.bandwidth_series.get(category)
-        if series is None:
-            series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-        series.add(now, nbytes)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                "%s:%s" % (kind, category),
-                "device",
-                "device:ch-%d" % channel,
-                started,
-                now,
-                args={"bytes": nbytes},
-            )
-        if self._queue:
-            self._start(channel, *self._queue.popleft())
-        else:
-            self._free_channels.append(channel)
-        wake(
-            ev,
-            resource="device",
-            category="%s:%s" % (kind, category),
-            kind="resource",
-            begin=started,
-            queued_at=queued_at,
-            initiator=initiator,
-            track="device:ch-%d" % channel,
+        sim.wake(
+            ev, None, "device", label, queued_at,
+            "resource", started, initiator, self._ch_tracks[channel],
         )
 
     # -- metrics -----------------------------------------------------------------

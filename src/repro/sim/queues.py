@@ -11,7 +11,6 @@ from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
 from repro.sim.core import Event, Simulator
-from repro.sim.wakeup import wake
 
 __all__ = ["FIFOQueue", "PriorityQueue", "QueueEmpty"]
 
@@ -55,19 +54,16 @@ class FIFOQueue:
         """Enqueue ``item``; never blocks (queue is unbounded).
 
         ``put``/``get`` model a thread-safe (internally locked) queue, so a
-        monitor sees them as synchronization edges.
+        sanitizer sees them as synchronization edges.
         """
         sim = self.sim
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         self.total_enqueued += 1
         if self._getters:
             ev, since = self._getters.popleft()
-            if sim.edgelog is None:
-                ev.succeed(item)  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(ev, item, resource=self._resource, queued_at=since)
+            sim.wake(ev, item, self._resource, "", since)
             return
         items = self._items
         items.append(item)
@@ -77,36 +73,33 @@ class FIFOQueue:
     def get(self) -> Event:
         """Return an event yielding the next item (blocks while empty)."""
         sim = self.sim
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         ev = Event(sim)
         if self._items:
-            if sim.edgelog is None:
-                ev.succeed(self._items.popleft())  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(ev, self._items.popleft(), resource=self._resource)
+            sim.wake(ev, self._items.popleft(), self._resource)
         else:
             self._getters.append((ev, sim._now))
         return ev
 
     # peek/try_pop are the OBM's lock-free head inspection (Algorithm 1):
-    # they are safe only from the queue's single consumer, so the monitor
+    # they are safe only from the queue's single consumer, so the sanitizer
     # treats them as plain accesses to shared state — two unsynchronized
     # consumers show up as a data race.
 
     def peek(self) -> Optional[Any]:
         """The head item without removing it, or None if empty."""
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_access(self._san_key, write=False, site="FIFOQueue.peek")
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_access(self._san_key, write=False, site="FIFOQueue.peek")
         return self._items[0] if self._items else None
 
     def try_pop(self) -> Any:
         """Pop the head item; raise :class:`QueueEmpty` if empty."""
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_access(self._san_key, write=True, site="FIFOQueue.try_pop")
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_access(self._san_key, write=True, site="FIFOQueue.try_pop")
         if not self._items:
             raise QueueEmpty(self.name)
         return self._items.popleft()
@@ -127,6 +120,7 @@ class PriorityQueue:
         self.sim = sim
         self.name = name
         self._san_key = "queue:%s#%d" % (name, next(_instance_counter))
+        self._resource = "queue:%s" % name
         self._items: list = []
         self._getters: Deque[Tuple[Event, float]] = deque()
         self._seq = 0
@@ -141,13 +135,13 @@ class PriorityQueue:
         return not self._items
 
     def put(self, item: Any, priority: float = 0.0) -> None:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         self.total_enqueued += 1
         if self._getters:
             ev, since = self._getters.popleft()
-            wake(ev, item, resource="queue:%s" % self.name, queued_at=since)
+            self.sim.wake(ev, item, self._resource, "", since)
             return
         self._seq += 1
         self._heapq.heappush(self._items, (priority, self._seq, item))
@@ -155,26 +149,26 @@ class PriorityQueue:
             self.max_depth = len(self._items)
 
     def get(self) -> Event:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         ev = self.sim.event()
         if self._items:
-            wake(ev, self._heapq.heappop(self._items)[2], resource="queue:%s" % self.name)
+            self.sim.wake(ev, self._heapq.heappop(self._items)[2], self._resource)
         else:
             self._getters.append((ev, self.sim.now))
         return ev
 
     def peek(self) -> Optional[Any]:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_access(self._san_key, write=False, site="PriorityQueue.peek")
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_access(self._san_key, write=False, site="PriorityQueue.peek")
         return self._items[0][2] if self._items else None
 
     def try_pop(self) -> Any:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_access(self._san_key, write=True, site="PriorityQueue.try_pop")
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_access(self._san_key, write=True, site="PriorityQueue.try_pop")
         if not self._items:
             raise QueueEmpty(self.name)
         return self._heapq.heappop(self._items)[2]

@@ -5,7 +5,7 @@ time can be *accounted* against a :class:`~repro.sim.cpu.ThreadContext`
 category (e.g. ``"wal_lock"``), which is how the latency breakdown of the
 paper's Figure 6 is measured.
 
-Every primitive reports to ``sim.monitor`` (when one is installed — see
+Every primitive reports to ``sim.sanitizer`` (when one is installed — see
 :mod:`repro.analysis.sanitizer`): lock acquisition requests feed the
 lock-order (potential deadlock) graph, and every grant/release/notify is a
 happens-before edge for the vector-clock race detector.
@@ -15,7 +15,6 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.wakeup import wake
 
 __all__ = ["Barrier", "Condition", "Lock", "Semaphore"]
 
@@ -57,18 +56,15 @@ class Lock:
         sim = self.sim
         ev = Event(sim)
         proc = sim.current_process
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.on_lock_request(self, proc)
+        sanitizer = sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_lock_request(self, proc)
         if not self._locked:
             self._locked = True
             self._grant(proc)
-            if monitor is not None:
-                monitor.on_sync(self)
-            if sim.edgelog is None:
-                ev.succeed(None)  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(ev, resource=self._resource, category=category or "")
+            if sanitizer is not None:
+                sanitizer.on_sync(self)
+            sim.wake(ev, None, self._resource, category or "")
         else:
             self._waiters.append((ev, ctx, category, sim.now, proc))
         return ev
@@ -85,20 +81,15 @@ class Lock:
         if owner is not None and self in owner.held_locks:
             owner.held_locks.remove(self)
         self._owner = None
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         if self._waiters:
             ev, ctx, category, since, proc = self._waiters.popleft()
             if ctx is not None and category is not None:
                 ctx.account_wait(category, self.sim.now - since)
             self._grant(proc)
-            wake(
-                ev,
-                resource=self._resource,
-                category=category or "",
-                queued_at=since,
-            )
+            self.sim.wake(ev, None, self._resource, category or "", since)
         else:
             self._locked = False
 
@@ -122,12 +113,12 @@ class Semaphore:
 
     def acquire(self) -> Event:
         ev = self.sim.event()
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            wake(ev, resource=self._resource)
+            self.sim.wake(ev, None, self._resource)
         else:
             self._waiters.append((ev, self.sim.now))
         return ev
@@ -135,12 +126,12 @@ class Semaphore:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimError("release of idle %s" % self.name)
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_sync(self)
         if self._waiters:
             ev, since = self._waiters.popleft()
-            wake(ev, resource=self._resource, queued_at=since)
+            self.sim.wake(ev, None, self._resource, "", since)
         else:
             self._in_use -= 1
 
@@ -175,21 +166,12 @@ class Condition:
     def notify(self, n: int = 1) -> None:
         sim = self.sim
         waiters = self._waiters
-        monitor = sim.monitor
-        if monitor is not None and waiters:
-            monitor.on_sync(self)
-        fast = sim.edgelog is None
+        sanitizer = sim.sanitizer
+        if sanitizer is not None and waiters:
+            sanitizer.on_sync(self)
         for _ in range(min(n, len(waiters))):
             ev, since, category = waiters.popleft()
-            if fast:
-                ev.succeed(None)  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(
-                    ev,
-                    resource=self._resource,
-                    category=category or "",
-                    queued_at=since,
-                )
+            sim.wake(ev, None, self._resource, category or "", since)
 
     def notify_all(self) -> None:
         self.notify(len(self._waiters))
@@ -213,13 +195,13 @@ class Barrier:
 
     def arrive(self) -> Event:
         """Register arrival; yield the returned event to wait for the rest."""
-        monitor = self.sim.monitor
-        if monitor is not None:
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
             # Each arrival joins the barrier clock, so the final release
             # carries every participant's history (all-to-all ordering).
-            monitor.on_sync(self)
+            sanitizer.on_sync(self)
         self._arrived += 1
         ev = self._event
         if self._arrived >= self.parties:
-            wake(ev, resource="barrier:%s" % self.name)  # cold: once per barrier
+            self.sim.wake(ev, None, "barrier:%s" % self.name)  # cold: once per barrier
         return ev

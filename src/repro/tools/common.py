@@ -246,9 +246,9 @@ def make_env_from_args(args):
 
 def check_sanitizer(env) -> None:
     """Fail the run (SanitizerError) if --sanitize recorded any finding."""
-    monitor = env.sim.monitor
-    if monitor is not None and hasattr(monitor, "check"):
-        monitor.check()
+    sanitizer = env.sim.sanitizer
+    if sanitizer is not None and hasattr(sanitizer, "check"):
+        sanitizer.check()
 
 
 def start_profile(args):

@@ -44,10 +44,10 @@ def _sanitize_every_simulator(request, monkeypatch):
 
     monkeypatch.setattr(Simulator, "__init__", patched_init)
     yield
-    # A test that installed its own sanitizer replaced sim.monitor; only
-    # monitors still attached at teardown are ours to judge.
+    # A test that installed its own sanitizer replaced sim.sanitizer; only
+    # sanitizers still attached at teardown are ours to judge.
     reports = [
-        s.format_report() for s in created if s.sim.monitor is s and s.findings
+        s.format_report() for s in created if s.sim.sanitizer is s and s.findings
     ]
     if reports:
         raise AssertionError("sanitizer findings:\n" + "\n".join(reports))

@@ -31,8 +31,9 @@ from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.harness.report import format_blame_table
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPUSet
+from repro.sim.device import OPTANE_905P, StorageDevice
 from repro.sim.queues import FIFOQueue
-from repro.sim.sync import Lock
+from repro.sim.sync import Condition, Lock
 from repro.tools import whatif
 from repro.trace import install_tracer
 from repro.trace.attribution import fig06_from_spans
@@ -53,12 +54,77 @@ def _segs(segments):
 # ---------------------------------------------------------------------------
 
 
+def _release_every_primitive(sim, cpu, dev, lock, queue, cond):
+    """One round that releases a waiter through each kernel primitive: a
+    condvar notify, a contended lock hand-off, a CPU burst, a device IO and
+    a queue get."""
+    ctx = cpu.new_thread("consumer")
+
+    def consumer():
+        yield cond.wait()
+        yield cpu.exec(ctx, 1e-6, "work")
+        yield dev.write(4096, category="wal")
+        yield queue.get()
+
+    def holder():
+        yield lock.acquire()
+        yield sim.timeout(1e-6)
+        lock.release()
+
+    def contender():
+        yield lock.acquire()
+        lock.release()
+
+    def producer():
+        yield sim.timeout(1e-6)
+        cond.notify()
+        queue.put("item")
+
+    for gen in (consumer(), holder(), contender(), producer()):
+        sim.spawn(gen)
+    sim.run()
+
+
+def _plain_bindings(sim):
+    return (
+        "wake" not in vars(sim)
+        and "_call_later" not in vars(sim)
+        and sim.wake.__func__ is Simulator.wake
+        and sim._call_later.__func__ is Simulator._call_later
+    )
+
+
 def test_edgelog_install_uninstall():
     sim = Simulator()
+    cpu = CPUSet(sim, n_cores=1)
+    dev = StorageDevice(sim, OPTANE_905P)
+    primitives = (cpu, dev, Lock(sim, "l"), FIFOQueue(sim, "q"), Condition(sim, "c"))
+    _release_every_primitive(sim, *primitives)
+    assert sim.now > 0 and _plain_bindings(sim)
+
+    # Attach to a simulator that has already run: every release site must
+    # record its typed edge from then on.
     log = install_edgelog(sim)
     assert sim.edgelog is log
+    assert not _plain_bindings(sim)
+    _release_every_primitive(sim, *primitives)
+    edges = [
+        edge
+        for hist in log.history.values()
+        for _t, _seq, edge in hist
+        if edge is not None
+    ]
+    assert {"cpu", "device", "queue:q", "cond:c"} <= {e.resource for e in edges}
+    # The contended acquire resumes through the holder's release, after
+    # waiting (the uncontended one carries no wait).
+    assert any(e.resource == "lock:l" and e.queued_at < e.begin for e in edges)
+
     uninstall_edgelog(sim)
     assert sim.edgelog is None
+    assert _plain_bindings(sim)
+    before = log.counts()
+    _release_every_primitive(sim, *primitives)
+    assert log.counts() == before
 
 
 def test_edgelog_records_resumes_and_spawns():

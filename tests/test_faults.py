@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core import P2KVS
+from repro.critpath import install_edgelog
 from repro.engine import LSMEngine, make_env, rocksdb_options
 from repro.errors import Corruption, IOFailure, KVError, KVStatus, TimedOut
 from repro.faults import (
@@ -73,14 +74,19 @@ class TestFaultPolicy:
 
 
 class TestVfsFaults:
-    def _disk(self, policy):
+    """Each fault must behave the same with and without an edgelog, which
+    swaps in the edge-recording completion path of the device model."""
+
+    def _disk(self, policy, edgelog):
         sim = Simulator()
+        if edgelog:
+            install_edgelog(sim)
         device = StorageDevice(sim, OPTANE_905P)
         device.fault_policy = policy
-        return sim, DiskImage(sim, device)
+        return sim, device, DiskImage(sim, device)
 
-    def test_torn_flush_advances_durable_prefix(self):
-        sim, disk = self._disk(FaultPolicy(5, torn_rate=1.0))
+    def _torn_flush(self, edgelog):
+        sim, device, disk = self._disk(FaultPolicy(5, torn_rate=1.0), edgelog)
         f = disk.open_file("wal")
         f.append(b"x" * 1000)
 
@@ -96,22 +102,38 @@ class TestVfsFaults:
         # The durable prefix advanced by exactly the completed bytes.
         assert f.flushed_len == exc.completed_bytes
         assert f.durable_content() == b"x" * exc.completed_bytes
+        assert device.in_flight() == 0
+        assert (sim.edgelog is not None) == edgelog
+        return (exc.code, exc.completed_bytes, f.durable_content(), sim.now)
 
-    def test_transient_error_leaves_nothing_durable(self):
-        sim, disk = self._disk(FaultPolicy(6, error_rate=1.0,
-                                           timeout_share=0.0))
+    def test_torn_flush_advances_durable_prefix(self):
+        assert self._torn_flush(edgelog=True) == self._torn_flush(edgelog=False)
+
+    def _transient_error(self, edgelog):
+        sim, device, disk = self._disk(
+            FaultPolicy(6, error_rate=1.0, timeout_share=0.0), edgelog
+        )
         f = disk.open_file("wal")
         f.append(b"y" * 100)
 
         def attempt():
             try:
                 yield from f.flush()
-            except IOFailure:
-                return "failed"
+            except IOFailure as exc:
+                return exc
 
-        assert run_process_sim(sim, attempt()) == "failed"
+        exc = run_process_sim(sim, attempt())
+        assert isinstance(exc, IOFailure)
         assert f.flushed_len == 0
         assert f.pending_bytes == 100
+        assert device.in_flight() == 0
+        assert (sim.edgelog is not None) == edgelog
+        return (type(exc), exc.code, sim.now)
+
+    def test_transient_error_leaves_nothing_durable(self):
+        assert self._transient_error(edgelog=True) == self._transient_error(
+            edgelog=False
+        )
 
 
 def run_process_sim(sim, gen):

@@ -807,6 +807,13 @@ def src_project():
     return load_project([SRC])
 
 
+@pytest.fixture(scope="module")
+def src_findings(src_project):
+    """The flow analysis of src/, computed once for the module (it is the
+    slowest step of the suite)."""
+    return analyze_project(src_project)
+
+
 def test_real_tree_call_graph_coverage(src_project):
     stats = src_project.stats()
     assert stats["function_coverage"] >= 0.95  # acceptance criterion
@@ -814,17 +821,15 @@ def test_real_tree_call_graph_coverage(src_project):
     assert stats["resolution_rate"] > 0.3
 
 
-def test_real_tree_is_flow_clean(src_project):
-    assert analyze_project(src_project) == []
+def test_real_tree_is_flow_clean(src_findings):
+    assert src_findings == []
 
 
-def test_real_tree_analysis_is_deterministic(src_project):
-    one = render_json(analyze_project(src_project))
-    two = render_json(analyze_project(src_project))
-    assert one == two
+def test_real_tree_analysis_is_deterministic(src_project, src_findings):
+    assert render_json(src_findings) == render_json(analyze_project(src_project))
 
 
-def test_no_stale_baseline_entries(src_project):
+def test_no_stale_baseline_entries(src_findings):
     """Every committed baseline entry must match a current finding."""
     root = os.path.join(os.path.dirname(__file__), "..")
     path = os.path.join(root, "analysis-baseline.json")
@@ -834,7 +839,7 @@ def test_no_stale_baseline_entries(src_project):
         entries = json.load(f)["entries"]
     from repro.analysis.lint import lint_paths
 
-    diags = lint_paths([SRC]) + analyze_project(src_project)
+    diags = lint_paths([SRC]) + src_findings
     _new, _matched, stale = apply_baseline(diags, entries)
     assert stale == []
 

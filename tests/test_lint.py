@@ -317,11 +317,9 @@ def test_unlabeled_wakeup_hit_on_direct_succeed():
 def test_unlabeled_wakeup_miss_on_wake_helper():
     assert _rules(
         """
-        from repro.sim.wakeup import wake
-
         def release(self):
             ev, since = self._waiters.popleft()
-            wake(ev, resource="lock:wal", queued_at=since)
+            self.sim.wake(ev, None, "lock:wal", "", since)
         """,
         module="repro.sim.mylock",
     ) == []

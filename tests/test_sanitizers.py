@@ -129,9 +129,9 @@ def test_duplicate_cycles_reported_once():
 
 
 def _touch(sim, key, write=True, site="test"):
-    monitor = sim.monitor
-    if monitor is not None:
-        monitor.on_access(key, write=write, site=site)
+    sanitizer = sim.sanitizer
+    if sanitizer is not None:
+        sanitizer.on_access(key, write=write, site=site)
 
 
 @pytest.mark.no_sanitize
@@ -265,7 +265,7 @@ def test_obm_second_consumer_races_on_queue_head():
 
 def test_install_sanitizer_resolves_env(env):
     san = install_sanitizer(env)
-    assert env.sim.monitor is san
+    assert env.sim.sanitizer is san
     assert san.sim is env.sim
 
 
