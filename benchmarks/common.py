@@ -30,6 +30,7 @@ from repro.harness import (
 )
 from repro.harness.metrics import scoped_collector
 from repro.harness.report import ShapeCheck, format_qps, format_table
+from repro.systems import _BENCH_SHAPE
 from repro.workloads import fillrandom, split_stream
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
@@ -46,12 +47,7 @@ READ_KEYS = 24000
 VALUE_SIZE = 112
 
 #: the scaled LSM shape shared by all systems (see DESIGN.md Section 5).
-SHAPE = dict(
-    write_buffer_size=64 * 1024,
-    target_file_size=64 * 1024,
-    max_bytes_for_level_base=256 * 1024,
-    block_cache_bytes=512 * 1024,
-)
+SHAPE = dict(_BENCH_SHAPE, block_cache_bytes=512 * 1024)
 
 
 def lsm_options(maker=None, **overrides):

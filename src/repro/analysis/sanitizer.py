@@ -25,8 +25,6 @@ Everything is a no-op unless a Sanitizer is attached, so the probes cost one
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from repro.perf import zones as _perf_zones
-
 __all__ = ["Sanitizer", "SanitizerError", "install_sanitizer"]
 
 #: frames of acquisition/access stacks kept in reports (innermost last).
@@ -172,26 +170,16 @@ class Sanitizer:
         cur = self.sim.current_process if self.sim is not None else None
         if cur is None:
             return
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("obs.sanitize")
         self._tick(cur)
         event._hb = dict(self._clock_of(cur))
-        if _p is not None:
-            _p.leave()
 
     def on_receive(self, proc, event) -> None:
         """A process resumes on a triggered event; join the sender's clock."""
         hb = event._hb
         if hb is None:
             return
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("obs.sanitize")
         self._join(self._clock_of(proc), hb)
         self._tick(proc)
-        if _p is not None:
-            _p.leave()
 
     def on_sync(self, obj) -> None:
         """An operation on an internally-synchronized object (lock, queue...):

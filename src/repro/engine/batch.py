@@ -12,7 +12,6 @@ per record, so recovery decodes genuine bytes.
 import struct
 from typing import Iterator, List, Tuple
 
-from repro.perf import zones as _perf_zones
 from repro.storage.memtable import VTYPE_DELETE, VTYPE_VALUE
 
 __all__ = ["WriteBatch"]
@@ -57,26 +56,19 @@ class WriteBatch:
         return sum(len(k) + len(v) for _, k, v in self._records)
 
     def encode(self) -> bytes:
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("engine.batch.encode")
         records = self._records
         rec_pack = _REC.pack
         len_pack = _LEN.pack
         if len(records) == 1:
             vtype, key, value = records[0]
-            data = rec_pack(vtype, len(key)) + key + len_pack(len(value)) + value
-        else:
-            parts = []
-            for vtype, key, value in records:
-                parts.append(rec_pack(vtype, len(key)))
-                parts.append(key)
-                parts.append(len_pack(len(value)))
-                parts.append(value)
-            data = b"".join(parts)
-        if _p is not None:
-            _p.leave()
-        return data
+            return rec_pack(vtype, len(key)) + key + len_pack(len(value)) + value
+        parts = []
+        for vtype, key, value in records:
+            parts.append(rec_pack(vtype, len(key)))
+            parts.append(key)
+            parts.append(len_pack(len(value)))
+            parts.append(value)
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "WriteBatch":

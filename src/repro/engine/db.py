@@ -31,7 +31,6 @@ from repro.engine.version import FileMeta, VersionEdit, VersionSet
 from repro.engine.write_group import WriteGroupCoordinator
 from repro.errors import Corruption, IOFailure, KVStatus, Stalled, TimedOut
 from repro.faults.retry import retry_io
-from repro.perf import zones as _perf_zones
 from repro.sim.sync import Condition, Lock
 from repro.storage.block_cache import BlockCache
 from repro.storage.memtable import FOUND, MemTable, NOT_FOUND
@@ -924,6 +923,33 @@ class LSMEngine:
                 yield self.env.sim.timeout(200e-6)
             self.stall_cond.notify_all()
 
+    def _merge_chunk(self, entries, builder, outputs: list):
+        """Feed up to one background chunk of the ``entries`` iterator into
+        SSTable builders, appending each full table to ``outputs``.
+
+        Returns ``(open builder or None, entries consumed)``.  This is the
+        synchronous work between two ``cpu.exec`` yields of
+        :meth:`_run_compaction`, kept out of the generator so the host
+        profiler's ``engine.compaction.merge`` zone never spans a yield.
+        """
+        limit = self.costs.background_chunk
+        chunk = 0
+        for key, seq, vtype, value in entries:
+            if builder is None:
+                builder = SSTableBuilder(
+                    self.versions.new_file_number(),
+                    self.options.block_size,
+                    self.options.bloom_bits_per_key,
+                )
+            builder.add(key, seq, vtype, value)
+            chunk += 1
+            if builder.estimated_size >= self.options.target_file_size:
+                outputs.append(builder.finish())
+                builder = None
+            if chunk >= limit:
+                break
+        return builder, chunk
+
     def _run_compaction(self, ctx, compaction: Compaction) -> Generator:
         costs = self.costs
         tracer = self.env.sim.tracer
@@ -960,36 +986,10 @@ class LSMEngine:
             )
             outputs = []
             builder = None
-            chunk = 0
-            # The merge zone must never span a sim yield (host-time zones are
-            # a LIFO stack) — close it around each chunked cpu.exec below.
-            _p = _perf_zones.PROFILER
-            if _p is not None:
-                _p.enter("engine.compaction.merge")
-            for key, seq, vtype, value in survivors:
-                if builder is None:
-                    builder = SSTableBuilder(
-                        self.versions.new_file_number(),
-                        self.options.block_size,
-                        self.options.bloom_bits_per_key,
-                    )
-                builder.add(key, seq, vtype, value)
-                chunk += 1
-                if chunk >= costs.background_chunk:
-                    if _p is not None:
-                        _p.leave()
-                    yield self.env.cpu.exec(
-                        ctx, costs.compact_per_entry * chunk, "compaction"
-                    )
-                    if _p is not None:
-                        _p.enter("engine.compaction.merge")
-                    chunk = 0
-                if builder.estimated_size >= self.options.target_file_size:
-                    outputs.append(builder.finish())
-                    builder = None
-            if _p is not None:
-                _p.leave()
-            if chunk:
+            while True:
+                builder, chunk = self._merge_chunk(survivors, builder, outputs)
+                if not chunk:
+                    break
                 yield self.env.cpu.exec(
                     ctx, costs.compact_per_entry * chunk, "compaction"
                 )

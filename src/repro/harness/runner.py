@@ -32,7 +32,6 @@ from repro.engine.options import (
 )
 from repro.errors import KVError
 from repro.harness.metrics import Metrics, MetricsCollector
-from repro.perf import zones as _perf_zones
 from repro.sim.sync import Semaphore
 
 __all__ = [
@@ -343,12 +342,7 @@ def open_system(env: Env, factory: Generator):
         box.append(system)
 
     env.sim.spawn(opener())
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("harness.open")
     env.sim.run()
-    if _p is not None:
-        _p.leave()
     return box[0]
 
 
@@ -445,12 +439,7 @@ def run_closed_loop(
             on_done()
 
     env.sim.spawn(finisher())
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("harness.run" if measure else "harness.preload")
     env.sim.run()
-    if _p is not None:
-        _p.leave()
     return box[0]
 
 
@@ -492,12 +481,7 @@ def run_open_loop(
         )
 
     env.sim.spawn(arrivals())
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("harness.run")
     env.sim.run()
-    if _p is not None:
-        _p.leave()
     return box[0]
 
 

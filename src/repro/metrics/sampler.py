@@ -21,8 +21,6 @@ generation counter makes start/stop re-entrant across sequential windows
 from collections import deque
 from typing import Dict, List, Tuple
 
-from repro.perf import zones as _perf_zones
-
 __all__ = ["DEFAULT_INTERVAL", "DEFAULT_MAX_SAMPLES", "Sampler", "install_stats"]
 
 #: 10 ms of virtual time, the cadence the paper-style utilization plots need.
@@ -78,17 +76,12 @@ class Sampler:
         log, nothing indexes sampler rows by position) so a long serve keeps
         its most recent history; evictions are counted in ``dropped``.
         """
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("obs.metrics")
         self.samples.append(
             (self.env.sim.now, self.env.metrics.gauge_values())
         )
         while len(self.samples) > self.max_samples:
             self.samples.popleft()
             self.dropped += 1
-        if _p is not None:
-            _p.leave()
 
     def _ticker(self, generation: int):
         # Late timeouts resume at the *end* of each instant, after every

@@ -27,7 +27,6 @@ Two lifecycle details matter:
 from typing import Dict, List, Optional
 
 from repro.monitor.windows import DEFAULT_RETENTION, SeriesTap, WindowStore
-from repro.perf import zones as _perf_zones
 
 __all__ = ["DEFAULT_WINDOW", "HealthMonitor", "Incident", "install_monitor"]
 
@@ -139,9 +138,6 @@ class HealthMonitor:
 
     def observe(self, now: float, synthetic: bool = False) -> None:
         """Close one window ending at ``now`` and run every rule over it."""
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("obs.monitor")
         dt = now - (self.last_window_end
                     if self.last_window_end is not None else now)
         self.last_window_end = now
@@ -169,8 +165,6 @@ class HealthMonitor:
                 if open_incident is not None:
                     open_incident.resolved_at = now
                     open_incident.resolve_evidence = evidence
-        if _p is not None:
-            _p.leave()
 
     def finalize(self, horizon: float) -> int:
         """Synthesize windows up to ``horizon`` after the sim has ended.

@@ -5,11 +5,14 @@ Every other observability layer (trace, metrics, critpath, monitor) measures
 Python engine are the hardware this repo runs on, and speed work on them
 (ROADMAP item 4) needs attribution before optimisation.  Three instruments:
 
-* :mod:`repro.perf.zones` — a low-overhead zone API (`enter`/`leave` around
-  synchronous code sections) instrumented at ~14 choke points across the
-  kernel event loop, skiplist/memtable, WAL encode, bloom probes, SST
-  builds, compaction and the observability probe sites.  Rolls up into a
-  per-subsystem wall-time tree (:mod:`repro.perf.report`).
+* :mod:`repro.perf.zones` — wall-clock zones over synchronous code
+  sections, decided in one table (``ZONES``) that maps each zone name to a
+  function or method: the kernel event loop, memtable, WAL encode, bloom
+  probes, SST builds, compaction merge, the observability probe sites and
+  the harness drivers.  ``install()`` wraps every target from outside and
+  ``uninstall()`` restores the originals, so no domain module carries a
+  probe.  Rolls up into a per-subsystem wall-time tree
+  (:mod:`repro.perf.report`).
 * :mod:`repro.perf.sampling` — an optional ``sys.setprofile`` stack sampler
   emitting collapsed stacks and speedscope JSON flamegraphs.
 * :mod:`repro.perf.tax` — the instrument-tax harness: runs a pinned

@@ -52,7 +52,7 @@ def run_workload(
     determinism flag): the workload must behave identically for every N.
     """
     from repro.engine import make_env
-    from repro.harness import run_closed_loop
+    from repro.harness import runner
     from repro.sim.device import HDD_WD100EFAX, OPTANE_905P, SATA_860PRO
     from repro.systems import open_system
     from repro.workloads import fillrandom, split_stream
@@ -101,7 +101,7 @@ def run_workload(
         monitor.start()
     n = PINNED["num"] if num is None else num
     ops = fillrandom(n, PINNED["value_size"], PINNED["seed"])
-    run_closed_loop(
+    runner.run_closed_loop(
         env,
         system,
         split_stream(ops, PINNED["threads"]),

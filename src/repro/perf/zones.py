@@ -1,30 +1,24 @@
 """Wall-clock zone attribution for the simulator's own hot paths.
 
 A *zone* is a named synchronous code section (``"kernel.dispatch"``,
-``"storage.memtable.insert"``).  Instrumented sites follow the edgelog
-pattern — the module-global :data:`PROFILER` defaults to ``None`` and every
-probe is guarded::
+``"storage.memtable.insert"``).  Which code is which zone is decided here
+and nowhere else: :data:`ZONES` maps each zone name to a class attribute or
+a module function, :func:`install` swaps every target for a wrapper that
+enters the zone and closes it with :meth:`ZoneProfiler.unwind` in a
+``finally``, and :func:`uninstall` puts the originals back.  No domain
+module carries a probe, so an unprofiled run has none at all.
 
-    _p = zones.PROFILER
-    if _p is not None:
-        _p.enter("storage.wal.encode")
-    ...synchronous work...
-    if _p is not None:
-        _p.leave()
+**Zones never span a simulation yield**: a generator yielding mid-zone
+would charge every interleaved process to the open zone, so :func:`install`
+raises on a generator-function target (and on a missing one).  A
+module-function target is swapped on its defining module, so callers must
+look it up there at call time (``runner.run_closed_loop(...)``), not through
+a name bound at import; a module run with ``python -m`` resolves as
+``__main__``.
 
-so a disabled probe costs one module-attribute read plus two predictable
-``is not None`` branches and allocates nothing.  The kernel is
-single-threaded, so one zone stack is enough ("thread-safe enough for the
-single-threaded kernel"); zones are reentrant — recursive enters of the
-same name nest and the inner occurrence attributes its own self time.
-
-**Zones must never span a simulation yield point.**  Zone time is *host*
-time; a generator that yielded mid-zone would charge every interleaved
-process to the open zone and unbalance the LIFO stack.  All instrumented
-sites wrap purely synchronous sections; the kernel's zone around its
-dispatch loop is closed with :meth:`ZoneProfiler.unwind` in a ``finally``
-so a Python exception escaping a callback cannot leave the stack
-corrupted.
+The kernel is single-threaded, so one zone stack is enough; zones are
+reentrant -- recursive enters of the same name nest and the inner
+occurrence attributes its own self time.
 
 Nothing returned from this module may influence the simulation: ``enter``
 returns a stack-depth token (for ``unwind``), not a time, and the
@@ -32,10 +26,16 @@ returns a stack-depth token (for ``unwind``), not a time, and the
 ``repro.perf`` return value reaches a sim-side sink.
 """
 
+import functools
+import importlib
+import inspect
+import sys
 from time import perf_counter_ns
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["PROFILER", "ZoneProfiler", "attach", "install", "uninstall"]
+__all__ = [
+    "PROFILER", "ZONES", "ZoneProfiler", "attach", "install", "targets", "uninstall",
+]
 
 
 class ZoneProfiler:
@@ -100,9 +100,9 @@ class ZoneProfiler:
     def unwind(self, depth: int) -> None:
         """Close zones until the stack is back at ``depth``.
 
-        The kernel's dispatch loop uses this instead of a bare
-        :meth:`leave`: if an exception tears through a process step with
-        zones still open, leaving the loop closes them too rather than
+        Every zone wrapper closes its zone with this instead of a bare
+        :meth:`leave`: if an exception tears through a wrapped call with
+        zones still open, leaving the wrapper closes them too rather than
         mis-nesting forever.
         """
         stack = self._stack
@@ -132,27 +132,104 @@ class ZoneProfiler:
         }
 
 
-#: the installed profiler, or None (the default: probes cost two branches).
+#: (zone, target) pairs: ``"module:function"`` or ``"module:Class.attr"``.
+#: A zone may name several targets; every target must be a plain function.
+ZONES: Tuple[Tuple[str, str], ...] = (
+    ("kernel.dispatch", "repro.sim.core:Simulator.run"),
+    ("storage.memtable.insert", "repro.storage.memtable:MemTable.add"),
+    ("storage.memtable.search", "repro.storage.memtable:MemTable.get"),
+    ("storage.wal.encode", "repro.storage.wal:encode_record"),
+    ("storage.bloom.probe", "repro.storage.bloom:BloomFilter.may_contain"),
+    ("storage.sst.build", "repro.storage.sstable:SSTableBuilder.add"),
+    ("engine.batch.encode", "repro.engine.batch:WriteBatch.encode"),
+    ("engine.compaction.merge", "repro.engine.db:LSMEngine._merge_chunk"),
+    ("obs.trace", "repro.trace.tracer:Tracer._record"),
+    ("obs.metrics", "repro.metrics.sampler:Sampler.sample_once"),
+    ("obs.sanitize", "repro.analysis.sanitizer:Sanitizer.on_send"),
+    ("obs.sanitize", "repro.analysis.sanitizer:Sanitizer.on_receive"),
+    ("obs.monitor", "repro.monitor.monitor:HealthMonitor.observe"),
+    ("harness.open", "repro.harness.runner:open_system"),
+    ("harness.preload", "repro.harness.runner:preload"),
+    ("harness.run", "repro.harness.runner:run_closed_loop"),
+    ("harness.run", "repro.harness.runner:run_open_loop"),
+    ("harness.workload", "repro.tools.dbbench:_ops_for"),
+    ("service.preload", "repro.service.load:preload_plane"),
+    ("service.run", "repro.service.load:run_service_load"),
+)
+
+#: the installed profiler, or None (the default: no target is wrapped).
 PROFILER: Optional[ZoneProfiler] = None
+
+#: (owner, attr, original) for every target the installed profiler wrapped.
+_SWAPPED: List[Tuple[object, str, object]] = []
+
+
+def _module(name: str):
+    """The module ``name``: ``__main__`` when it was run with ``python -m``."""
+    main = sys.modules.get("__main__")
+    if getattr(getattr(main, "__spec__", None), "name", None) == name:
+        return main
+    return importlib.import_module(name)
+
+
+def targets() -> List[Tuple[str, object, str, object]]:
+    """Resolve :data:`ZONES` to ``(zone, owner, attr, current object)``;
+    raises on a target its owner does not define or that is a generator."""
+    out = []
+    for zone, target in ZONES:
+        module, _, path = target.partition(":")
+        owner = _module(module)
+        *outer, attr = path.split(".")
+        for name in outer:
+            owner = getattr(owner, name)
+        fn = vars(owner).get(attr)
+        if fn is None:
+            raise AttributeError("zone %r: %s is not defined" % (zone, target))
+        if not inspect.isfunction(fn) or inspect.isgeneratorfunction(fn):
+            raise TypeError(
+                "zone %r: %s must be a plain (non-generator) function; zones "
+                "never span a simulation yield" % (zone, target)
+            )
+        out.append((zone, owner, attr, fn))
+    return out
+
+
+def _zoned(profiler: ZoneProfiler, zone: str, fn):
+    enter, unwind = profiler.enter, profiler.unwind
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        tok = enter(zone)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            unwind(tok)
+
+    return wrapper
 
 
 def install(profiler: Optional[ZoneProfiler] = None) -> ZoneProfiler:
-    """Install (and start) a zone profiler as the process-wide collector.
-
-    Install *before* running the simulation: the kernel event loop hoists
-    the profiler reference once per :meth:`Simulator.run` call.
-    """
+    """Wrap every :data:`ZONES` target and start ``profiler`` (or a new one),
+    replacing any installed one.  A bad entry raises before anything is
+    swapped.  Install *before* running the simulation."""
     global PROFILER
+    uninstall()
     if profiler is None:
         profiler = ZoneProfiler()
+    for zone, owner, attr, fn in targets():
+        setattr(owner, attr, _zoned(profiler, zone, fn))
+        _SWAPPED.append((owner, attr, fn))
     PROFILER = profiler
     profiler.start()
     return profiler
 
 
 def uninstall() -> None:
-    """Detach the current profiler (stopping its wall window)."""
+    """Put every original target back and stop the profiler's wall window."""
     global PROFILER
+    while _SWAPPED:
+        owner, attr, fn = _SWAPPED.pop()
+        setattr(owner, attr, fn)
     if PROFILER is not None:
         PROFILER.stop()
     PROFILER = None

@@ -22,8 +22,6 @@ requests never enter the system, which is the whole point of shedding.
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.perf import zones as _perf_zones
-
 __all__ = ["partition_offered_counts", "preload_plane", "run_service_load"]
 
 
@@ -57,12 +55,7 @@ def preload_plane(env, plane, ops: Sequence, n_threads: int = 4) -> None:
         yield env.sim.all_of(procs)
 
     env.sim.spawn(waiter(), name="svc-preload")
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("service.preload")
     env.sim.run()
-    if _p is not None:
-        _p.leave()
 
 
 def partition_offered_counts(partitioner, ops: Sequence) -> List[int]:
@@ -132,10 +125,5 @@ def run_service_load(
         ]
 
     env.sim.spawn(driver(), name="svc-load")
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("service.run")
     env.sim.run()
-    if _p is not None:
-        _p.leave()
     return box

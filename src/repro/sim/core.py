@@ -43,7 +43,6 @@ import heapq
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.perf import zones as _perf_zones
 from repro.trace.tracer import NULL_TRACER
 
 # lint: disable-file=unlabeled-wakeup -- the kernel defines succeed() and
@@ -638,52 +637,44 @@ class Simulator:
         Dispatch discriminates deferred ``(fn, arg)`` calls from event
         deliveries with a single ``type(target) is tuple`` check; event
         deliveries drain the single ``_cb`` slot without allocating or
-        swapping lists.  With a host profiler installed (repro.perf.zones,
-        read once per call) the whole loop runs inside one
-        ``kernel.dispatch`` zone; ``unwind`` in the ``finally`` closes it,
-        and any zone an exception left open inside it, however the loop
-        exits.
+        swapping lists.  The host zone profiler charges each call to its
+        ``kernel.dispatch`` zone by wrapping this method from outside.
         """
         heap = self._heap
         pop = heapq.heappop
         push = _heappush
         limit = _INF if until is None else until
-        perf = _perf_zones.PROFILER
-        tok = perf.enter("kernel.dispatch") if perf is not None else 0
-        try:
-            while heap:
-                if self._pending_error is not None:
-                    err, self._pending_error = self._pending_error, None
-                    raise err
-                entry = pop(heap)
-                when = entry[0]
-                if when > limit:
-                    push(heap, entry)
-                    self._now = until
-                    return
-                self._now = when
-                target = entry[3]
-                if type(target) is tuple:
-                    target[0](target[1])
-                else:
-                    value = entry[4]
-                    if value is not _PENDING and target._value is _PENDING:
-                        # A timer-style entry: trigger the event now.
-                        target._value = value
-                        target._ok = True
-                    cb = target._cb
-                    if cb is not None:
-                        target._cb = None
-                        if type(cb) is list:
-                            for fn in cb:
-                                fn(target)
-                        else:
-                            cb(target)
+        while heap:
             if self._pending_error is not None:
                 err, self._pending_error = self._pending_error, None
                 raise err
-            if until is not None:
-                self._now = max(self._now, until)
-        finally:
-            if perf is not None:
-                perf.unwind(tok)
+            entry = pop(heap)
+            when = entry[0]
+            if when > limit:
+                push(heap, entry)
+                self._now = until
+                return
+            self._now = when
+            target = entry[3]
+            if type(target) is tuple:
+                target[0](target[1])
+            else:
+                value = entry[4]
+                if value is not _PENDING and target._value is _PENDING:
+                    # A timer-style entry: trigger the event now.
+                    target._value = value
+                    target._ok = True
+                cb = target._cb
+                if cb is not None:
+                    target._cb = None
+                    if type(cb) is list:
+                        for fn in cb:
+                            fn(target)
+                    else:
+                        cb(target)
+        if self._pending_error is not None:
+            err, self._pending_error = self._pending_error, None
+            raise err
+        if until is not None:
+            self._now = max(self._now, until)
+

@@ -9,8 +9,6 @@ LevelDB/RocksDB defaults the paper's engines run with.
 import zlib
 from typing import Iterable
 
-from repro.perf import zones as _perf_zones
-
 __all__ = ["BloomFilter"]
 
 
@@ -48,24 +46,17 @@ class BloomFilter:
             self._bits[pos >> 3] |= 1 << (pos & 7)
 
     def may_contain(self, key: bytes) -> bool:
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("storage.bloom.probe")
         # Probe loop inlined (no _positions generator): same double-hashing
         # positions, early exit on the first clear bit.
         bits = self._bits
         n_bits = self.n_bits
         h1 = zlib.crc32(key) & 0xFFFFFFFF
         h2 = _fnv1a(key) | 1
-        hit = True
         for i in range(self.n_probes):
             pos = (h1 + i * h2) % n_bits
             if not bits[pos >> 3] & (1 << (pos & 7)):
-                hit = False
-                break
-        if _p is not None:
-            _p.leave()
-        return hit
+                return False
+        return True
 
     @property
     def nbytes(self) -> int:

@@ -17,8 +17,6 @@ import random
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
-from repro.perf import zones as _perf_zones
-
 __all__ = [
     "MemTable",
     "SkipList",
@@ -160,9 +158,6 @@ class MemTable:
                     self._track,
                     args={"seq": seq, "bytes": len(key) + len(value)},
                 )
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("storage.memtable.insert")
         # Internal key (key, MAX_SEQ - seq) sorts newer versions first.
         ikey = (key, MAX_SEQ - seq)
         i = bisect_left(self._keys, ikey)
@@ -173,8 +168,6 @@ class MemTable:
         if self.first_seq is None:
             self.first_seq = seq
         self.last_seq = seq
-        if _p is not None:
-            _p.leave()
 
     def get(self, key: bytes, snapshot_seq: int = MAX_SEQ) -> Tuple[str, Optional[bytes]]:
         """Find the newest version of ``key`` visible at ``snapshot_seq``.
@@ -183,13 +176,7 @@ class MemTable:
         (NOT_FOUND, None).
         """
         keys = self._keys
-        _p = _perf_zones.PROFILER
-        if _p is None:
-            i = bisect_left(keys, (key, MAX_SEQ - snapshot_seq))
-        else:
-            _p.enter("storage.memtable.search")
-            i = bisect_left(keys, (key, MAX_SEQ - snapshot_seq))
-            _p.leave()
+        i = bisect_left(keys, (key, MAX_SEQ - snapshot_seq))
         if i == len(keys) or keys[i][0] != key:
             return NOT_FOUND, None
         vtype, value = self._vals[i]

@@ -14,7 +14,6 @@ same table object can be shared by any number of simulated readers.
 from bisect import bisect_left
 from typing import Generator, List, Optional, Tuple
 
-from repro.perf import zones as _perf_zones
 from repro.storage.bloom import BloomFilter
 from repro.storage.memtable import (
     DELETED,
@@ -247,9 +246,6 @@ class SSTableBuilder:
         self._last_internal: Optional[Tuple[bytes, int]] = None
 
     def add(self, key: bytes, seq: int, vtype: int, value: bytes) -> None:
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("storage.sst.build")
         internal = (key, MAX_SEQ - seq)
         if self._last_internal is not None and internal <= self._last_internal:
             raise ValueError("entries must be added in strict internal-key order")
@@ -260,8 +256,6 @@ class SSTableBuilder:
         self._entry_count += 1
         if self._current_bytes >= self.block_target:
             self._finish_block()
-        if _p is not None:
-            _p.leave()
 
     def _finish_block(self) -> None:
         if self._current:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from repro.errors import Corruption
-from repro.perf import zones as _perf_zones
 
 __all__ = ["LogReader", "LogWriter", "WalRecord", "RECORD_STANDALONE", "RECORD_TXN"]
 
@@ -64,13 +63,7 @@ class LogWriter:
 
     def append(self, payload: bytes, rtype: int = RECORD_STANDALONE, gsn: int = 0) -> int:
         """Append one record; returns its encoded size in bytes."""
-        _p = _perf_zones.PROFILER
-        if _p is None:
-            data = encode_record(payload, rtype, gsn)
-        else:
-            _p.enter("storage.wal.encode")
-            data = encode_record(payload, rtype, gsn)
-            _p.leave()
+        data = encode_record(payload, rtype, gsn)
         tracer = self.vfile.disk.sim.tracer
         if tracer.enabled:
             tracer.instant(

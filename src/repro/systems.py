@@ -41,7 +41,7 @@ from repro.harness.runner import (
     SingleInstanceSystem,
     WiredTigerSystem,
 )
-from repro.harness.runner import open_system as _run_open
+from repro.harness import runner as _runner
 
 __all__ = [
     "SYSTEM_REGISTRY",
@@ -151,7 +151,7 @@ def open_system(name: str, env, **opts):
                 ", ".join(declared) if declared else "(no options)",
             )
         )
-    return _run_open(env, opener(env, **opts))
+    return _runner.open_system(env, opener(env, **opts))
 
 
 @register_system("rocksdb")

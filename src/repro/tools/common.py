@@ -20,10 +20,7 @@ them drift; this module is now the single source of truth:
   ``export_*`` helpers wrap each plane's install/export pair; profile
   output goes to stderr or its own file, so the sim-side report on stdout
   is byte-identical with or without it.
-
-``repro.tools.dbbench`` re-exports the historical underscore names
-(``_make_env``, ``_start_profile``, ...) for callers that grew against it
-(``whatif``, tests).
+* :func:`build_system` opens ``--system`` with the options it declares.
 """
 
 import argparse
@@ -36,6 +33,7 @@ from repro.engine import make_env
 from repro.metrics import install_stats, write_stats_files
 from repro.perf import zones as _perf_zones
 from repro.sim.device import HDD_WD100EFAX, OPTANE_905P, SATA_860PRO
+from repro.systems import describe_options, open_system
 
 __all__ = [
     "DEVICES",
@@ -46,6 +44,7 @@ __all__ = [
     "add_schedule_seed_arg",
     "add_stats_args",
     "add_trace_arg",
+    "build_system",
     "check_sanitizer",
     "critpath_trace_extras",
     "export_critpath",
@@ -242,6 +241,23 @@ def make_env_from_args(args):
 
         install_sanitizer(env)
     return env
+
+
+def build_system(env, args):
+    """Open ``args.system`` on ``env``, forwarding only the options it
+    declares: the CLIs share one flag surface, but ``open_system`` is strict
+    (passing workers to single-instance RocksDB would raise)."""
+    requested = {
+        "workers": args.workers,
+        "obm": not args.no_obm,
+        "async_window": args.async_window,
+    }
+    supported = describe_options(args.system)
+    return open_system(
+        args.system,
+        env,
+        **{k: v for k, v in requested.items() if k in supported}
+    )
 
 
 def check_sanitizer(env) -> None:

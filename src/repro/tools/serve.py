@@ -41,12 +41,11 @@ from repro.service import (
     ServicePlane,
     build_scenario,
     build_slo_report,
-    preload_plane,
     render_slo_csv,
-    run_service_load,
     scenario_names,
     write_report,
 )
+from repro.service import load as service_load
 from repro.service.scenarios import SCENARIOS
 from repro.tools.common import (
     DEVICES,
@@ -157,7 +156,7 @@ def run_scenario(args) -> dict:
         key_space=args.key_space,
         system_opts=dict(workers=args.workers),
     )
-    preload_plane(env, plane, spec["preload"])
+    service_load.preload_plane(env, plane, spec["preload"])
     if args.fault_rate > 0.0:
         # Faults arm only after the (clean) preload: the scenario injects
         # into the measured window, not into dataset loading.
@@ -172,7 +171,7 @@ def run_scenario(args) -> dict:
             env, plane, window=args.monitor_window_ms / 1e3
         )
     t0 = env.sim.now
-    run_facts = run_service_load(
+    run_facts = service_load.run_service_load(
         env,
         plane,
         spec["ops"],

@@ -32,9 +32,10 @@ from repro.critpath import (
     predicted_saving,
 )
 from repro.engine import make_env
-from repro.harness import run_closed_loop
+from repro.harness import runner
 from repro.harness.report import format_blame_table, format_qps, format_table
-from repro.tools.dbbench import DEVICES, SYSTEMS, _build_system, _check_sanitizer
+from repro.tools.common import DEVICES, build_system, check_sanitizer
+from repro.tools.dbbench import SYSTEMS
 from repro.trace import install_tracer
 from repro.workloads import fillrandom, split_stream
 
@@ -104,14 +105,14 @@ def _run(args, experiment=None, with_critpath: bool = False):
     if with_critpath:
         tracer = install_tracer(env)
         edgelog = install_edgelog(env)
-    system = _build_system(env, args)
+    system = build_system(env, args)
     t0 = env.sim.now
-    metrics = run_closed_loop(
+    metrics = runner.run_closed_loop(
         env,
         system,
         split_stream(fillrandom(args.num, args.value_size, args.seed), args.threads),
     )
-    _check_sanitizer(env)
+    check_sanitizer(env)
     report = None
     if with_critpath:
         report = critpath_report(edgelog, tracer, (t0, t0 + metrics.elapsed))

@@ -18,11 +18,12 @@ import sys
 from typing import List, Optional
 
 from repro.critpath import install_edgelog
-from repro.harness import preload, run_closed_loop
+from repro.harness import runner
 from repro.harness.report import format_attribution, format_blame_table, format_qps, format_table
 from repro.systems import format_system_options
 from repro.tools.common import (
     DEVICES,
+    build_system,
     check_sanitizer,
     critpath_trace_extras,
     export_critpath,
@@ -34,7 +35,7 @@ from repro.tools.common import (
     start_profile,
     trace_path,
 )
-from repro.tools.dbbench import SYSTEMS, _build_system
+from repro.tools.dbbench import SYSTEMS
 from repro.trace import install_tracer, write_chrome_trace
 from repro.workloads import WORKLOADS, YCSBWorkload
 
@@ -81,20 +82,20 @@ def run_workload(
     tracer = install_tracer(env) if (trace_path or critpath_base) else None
     edgelog = install_edgelog(env) if critpath_base else None
     sampler = install_stats_if_requested(env, args)
-    system = _build_system(env, args)
+    system = build_system(env, args)
     workload = YCSBWorkload(
         name, args.records, value_size=args.value_size, seed=args.seed
     )
     if name == "LOAD":
         ops = list(workload.load_ops())[: args.ops]
     else:
-        preload(env, system, workload.load_ops(), n_threads=8)
+        runner.preload(env, system, workload.load_ops(), n_threads=8)
         ops = list(workload.ops(args.ops))
     streams = [[] for _ in range(args.threads)]
     for i, op in enumerate(ops):
         streams[i % args.threads].append(op)
     t0 = env.sim.now
-    metrics = run_closed_loop(env, system, streams)
+    metrics = runner.run_closed_loop(env, system, streams)
     window = (t0, t0 + metrics.elapsed)
     check_sanitizer(env)
     result = {

@@ -35,8 +35,6 @@ exported is silently absent.
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.perf import zones as _perf_zones
-
 __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
@@ -199,15 +197,10 @@ class Tracer:
         return self.complete(name, cat, track, now, now, args)
 
     def _record(self, span: Span) -> None:
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("obs.trace")
         if len(self.events) >= self.max_events:
             self.dropped += 1
         else:
             self.events.append(span)
-        if _p is not None:
-            _p.leave()
 
     # -- querying -----------------------------------------------------------
 

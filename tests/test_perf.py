@@ -1,4 +1,6 @@
-"""Host-profiling plane tests: zone mechanics, the report tree, the stack
+"""Host-profiling plane tests: zone mechanics, the zone table (targets
+wrapped at install time, originals restored, bad targets rejected, the zone
+names each CLI reports), the report tree, the stack
 sampler's speedscope export, the instrument-tax harness, non-interference
 (byte-identical sim reports with ``--profile`` on vs off, across reruns and
 schedule seeds) and the zero-overhead off path.
@@ -8,6 +10,8 @@ Everything here touches *host* wall time, so the assertions are structural
 """
 
 import json
+import runpy
+import sys
 import textwrap
 
 import pytest
@@ -130,6 +134,67 @@ def test_install_uninstall_manage_global():
         prof2.leave()
     assert zones.PROFILER is None
     assert prof2.wall_ns() > 0
+
+
+# ---------------------------------------------------------------------------
+# zone table: wrappers swapped in at install time, originals put back
+# ---------------------------------------------------------------------------
+
+
+def _raise_key_error():
+    raise KeyError("boom")
+
+
+def test_install_wraps_every_target_and_uninstall_restores():
+    originals = zones.targets()
+    assert len(originals) == len(zones.ZONES)
+    zones.install()
+    for zone, owner, attr, fn in originals:
+        wrapper = vars(owner)[attr]
+        assert wrapper is not fn, zone
+        assert wrapper.__wrapped__ is fn, zone
+    zones.uninstall()
+    for zone, owner, attr, fn in originals:
+        assert vars(owner)[attr] is fn, zone
+
+
+def test_wrapped_target_charges_its_zone():
+    from repro.storage.bloom import BloomFilter
+
+    bloom = BloomFilter.from_keys([b"a"])
+    with zones.attach() as prof:
+        assert bloom.may_contain(b"a")
+    assert prof.zones["storage.bloom.probe"][0] == 1
+    assert prof._stack == []
+
+
+def test_wrapper_unwinds_its_zone_on_exception(monkeypatch):
+    target = "%s:_raise_key_error" % __name__
+    monkeypatch.setattr(zones, "ZONES", (("test.raise", target),))
+    with zones.attach() as prof:
+        with pytest.raises(KeyError):
+            _raise_key_error()  # looked up in module globals: the wrapper
+        assert prof._stack == []
+    assert prof.zones["test.raise"][0] == 1
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("repro.storage.bloom:BloomFilter.no_such_method", AttributeError),
+        # a generator function would hold its zone open across sim yields
+        ("repro.engine.db:LSMEngine._run_compaction", TypeError),
+    ],
+)
+def test_install_rejects_bad_target(monkeypatch, target, error):
+    originals = zones.targets()
+    monkeypatch.setattr(zones, "ZONES", zones.ZONES + (("bad.zone", target),))
+    with pytest.raises(error):
+        zones.install()
+    # the table is resolved before anything is swapped
+    assert zones.PROFILER is None
+    for zone, owner, attr, fn in originals:
+        assert vars(owner)[attr] is fn, zone
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +398,61 @@ def test_serve_profile_does_not_change_report(tmp_path, capsys):
     assert seeded == plain
 
 
+#: zone names each profiled CLI run reports; a target its callers stop
+#: reaching (a name bound at import time) drops out of these sets.
+DBBENCH_ZONES = {
+    "engine.batch.encode", "harness.open", "harness.preload", "harness.run",
+    "harness.workload", "kernel.dispatch", "obs.metrics", "obs.sanitize",
+    "obs.trace", "storage.bloom.probe", "storage.memtable.insert",
+    "storage.memtable.search", "storage.sst.build", "storage.wal.encode",
+}
+SERVE_ZONES = {
+    "engine.batch.encode", "harness.open", "kernel.dispatch", "obs.monitor",
+    "service.preload", "service.run", "storage.memtable.insert",
+    "storage.memtable.search", "storage.wal.encode",
+}
+PROFILE_ZONES = {
+    "engine.batch.encode", "engine.compaction.merge", "harness.open",
+    "harness.run", "kernel.dispatch", "storage.memtable.insert",
+    "storage.sst.build", "storage.wal.encode",
+}
+
+
+def test_dbbench_profile_zone_names(tmp_path, monkeypatch, capsys):
+    """Run the way ``python -m repro.tools.dbbench`` runs, as ``__main__``:
+    the ``harness.workload`` target must resolve to that module."""
+    out = tmp_path / "prof.json"
+    argv = [
+        "--benchmarks", "readrandom", "--system", "p2kvs",
+        "--workers", "2", "--threads", "4", "--num", "1000",
+        "--cores", "8", "--seed", "0", "--sanitize",
+        "--trace-out", str(tmp_path / "trace.json"),
+        "--stats", "--stats-out", str(tmp_path / "stats"),
+        "--profile-out", str(out),
+    ]
+    monkeypatch.setattr(sys, "argv", ["dbbench"] + argv)
+    # runpy warns if the module it is about to run as __main__ is imported
+    monkeypatch.delitem(sys.modules, "repro.tools.dbbench", raising=False)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("repro.tools.dbbench", run_name="__main__", alter_sys=True)
+    assert done.value.code == 0
+    assert set(json.loads(out.read_text())["zones"]) == DBBENCH_ZONES
+
+
+def test_serve_profile_zone_names(tmp_path, capsys):
+    out = tmp_path / "prof.json"
+    _serve_json(tmp_path, "zones", ["--monitor", "--profile-out", str(out)])
+    assert set(json.loads(out.read_text())["zones"]) == SERVE_ZONES
+
+
+def test_profile_tool_zone_names(tmp_path, capsys):
+    from repro.tools import profile
+
+    out = tmp_path / "prof.json"
+    assert profile.main(["--json", str(out)]) == 0
+    assert set(json.loads(out.read_text())["zones"]) == PROFILE_ZONES
+
+
 def test_disabled_probes_never_touch_the_profiler(monkeypatch):
     """With no profiler installed the probes must be dead code: poison every
     ZoneProfiler method and run a full benchmark."""
@@ -351,6 +471,9 @@ def test_disabled_probes_never_touch_the_profiler(monkeypatch):
     )
     result = dbbench.run_benchmark("fillrandom", args)
     assert result["ops"] == 200
+    # ...because no zone target is wrapped at all
+    for zone, _owner, _attr, fn in zones.targets():
+        assert not hasattr(fn, "__wrapped__"), zone
 
 
 # ---------------------------------------------------------------------------
