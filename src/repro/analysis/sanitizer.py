@@ -18,8 +18,10 @@ the kernel and the sync primitives at every interesting point:
   head) was touched.  Two accesses from different processes, at least one a
   write, with neither happening-before the other, is a data race.
 
-Everything is a no-op unless a Sanitizer is attached, so the probes cost one
-``is None`` branch in normal runs.
+Everything is a no-op unless a Sanitizer is attached: :meth:`Sanitizer.attach`
+binds the kernel hooks (``on_spawn``/``on_send``/``on_receive``) through
+``Simulator.set_observer``, and the primitive probes cost one ``is None``
+branch.
 """
 
 import traceback
@@ -126,7 +128,7 @@ class Sanitizer:
 
     def attach(self, sim) -> "Sanitizer":
         self.sim = sim
-        sim.sanitizer = self
+        sim.set_observer("sanitizer", self)
         return self
 
     # ------------------------------------------------------------------

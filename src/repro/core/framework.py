@@ -161,7 +161,7 @@ class P2KVS:
         env = self.env
         sim = env.sim
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             request.trace = tracer.begin(
                 "request:%s" % request.op,
                 "request",
@@ -191,7 +191,7 @@ class P2KVS:
         tracer = self.env.sim.tracer
         if self.env.metrics.perf_enabled:
             request.perf = PerfContext()
-        if tracer.enabled:
+        if tracer is not None:
             # Async requests overlap on the submitting thread's track, so the
             # span is an async pair, closed from the completion callback.
             span = tracer.async_begin(

@@ -87,7 +87,7 @@ class Worker:
         sim = self.env.sim
         request.submit_time = sim._now
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # Residency spans overlap (many requests sit queued at once), so
             # each gets an async span on the queue's track.
             request.trace_queue = tracer.async_begin(
@@ -127,7 +127,7 @@ class Worker:
                     request,
                     queue,
                     obm_cap,
-                    tracer=tracer if tracer.enabled else None,
+                    tracer=tracer,
                     track=ctx.track,
                 )
             else:
@@ -147,7 +147,7 @@ class Worker:
             else:
                 batch_perf = None
             span = None
-            if tracer.enabled:
+            if tracer is not None:
                 for r in batch:
                     if r.trace_queue is not None:
                         r.trace_queue.finish()
@@ -193,7 +193,7 @@ class Worker:
                 if self.ctx.perf is not None:
                     self.ctx.perf.add("request_retries")
                 tracer = self.env.sim.tracer
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.instant(
                         "retry:%s" % batch[0].op,
                         "worker",
@@ -216,7 +216,7 @@ class Worker:
             if self.ctx.perf is not None:
                 self.ctx.perf.add("poisoned_requests", poisoned)
             tracer = self.env.sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant(
                     "poisoned:%s" % batch[0].op,
                     "worker",

@@ -16,15 +16,14 @@ An :class:`EdgeLog` is an opt-in kernel hook (``sim.edgelog``, installed by
 
 Two invariants make the log useful:
 
-* **Zero overhead when absent.**  The default is ``None``.  The two hot
-  entry points — ``sim.wake`` (every release) and ``sim._call_later``
-  (every CPU burst and device IO completion) — are rebound once, by
-  :meth:`Simulator.set_edgelog <repro.sim.core.Simulator.set_edgelog>`
-  at attach and detach, so without a log they carry no check at all; the
-  other kernel probes are ``if sim.edgelog is not None:``.  Recording
-  never advances simulated time, so an un-instrumented run is
-  byte-identical to a pre-EdgeLog run (asserted in
-  ``tests/test_metrics.py``).
+* **Zero overhead when absent.**  The default is ``None``.  The kernel's
+  release, spawn, timer, burst-completion and resume hooks are bound once,
+  by :meth:`Simulator.set_observer <repro.sim.core.Simulator.set_observer>`
+  at attach and detach, so without a log they carry no check at all; only
+  the join annotations and the CPU/device probes test
+  ``sim.edgelog is not None``.  Recording never advances simulated time,
+  so an un-instrumented run is byte-identical to a pre-EdgeLog run
+  (asserted in ``tests/test_metrics.py``).
 * **Global sequence numbers.**  ``annotate``/``on_resume``/``on_spawn``
   share one monotonically increasing counter.  An edge is always stamped
   *before* the resume it causes, and a spawn before the child's first

@@ -59,7 +59,7 @@ def pick_compaction(engine) -> Optional[Compaction]:
         compaction = _pick_leveled(engine)
     if compaction is not None:
         tracer = engine.env.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 "compaction:pick",
                 "compaction",

@@ -838,7 +838,7 @@ class LSMEngine:
                     "bytes": memtable.approximate_size,
                 },
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         number = self.versions.new_file_number()
@@ -965,7 +965,7 @@ class LSMEngine:
                     "input_bytes": compaction.input_bytes,
                 },
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         for meta in compaction.all_inputs:

@@ -245,7 +245,7 @@ class MetricsCollector:
             # runs predating the fault plane.
             metrics.extra["errors"] = dict(sorted(self.errors.items()))
         tracer = env.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # Span-derived Figure 6 breakdown over the measured window, for
             # the foreground path (user + worker threads; background flush /
             # compaction threads are outside the per-request attribution).

@@ -390,7 +390,7 @@ def run_closed_loop(
                 tracer.begin(
                     "request:%s" % op[0], "request", ctx.track, args={"op": op[0]}
                 )
-                if tracer.enabled and not is_p2kvs
+                if tracer is not None and not is_p2kvs
                 else None
             )
             try:

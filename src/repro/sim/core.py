@@ -23,12 +23,11 @@ allow:
 * :class:`Process` resumes drive ``gen.send``/``gen.throw`` directly (the
   bound ``send`` is cached at spawn) instead of allocating a closure per
   step;
-* every waiter release goes through :meth:`Simulator.wake` and every CPU
-  burst / device IO completion through :meth:`Simulator._call_later`.  The
-  class methods are the only hand-written path; attaching an edgelog
-  (:meth:`Simulator.set_edgelog`) overlays edge-recording variants on the
-  instance that stamp the edge and then run the same code, so no per-call
-  "is an edgelog attached?" check remains on those paths.
+* releases (:meth:`Simulator.wake`), spawns, timers and CPU/device
+  completions (:meth:`Simulator._call_later`) read no observer: attaching
+  a sanitizer or an edgelog (:meth:`Simulator.set_observer`) overlays
+  observed variants on the instance that run the same class method plus
+  the hooks, and a process resume reads one ``_resume_hook``.
 
 Ordering contract: all fast paths preserve the heap ordering key.  The only
 tolerated difference vs. the historical kernel is *within* a single sim-time
@@ -42,8 +41,6 @@ fingerprint suite (tests/test_golden.py) pins this.
 import heapq
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from repro.trace.tracer import NULL_TRACER
 
 # lint: disable-file=unlabeled-wakeup -- the kernel defines succeed() and
 # annotates its own wakeups (timeouts, joins, process completion) inline.
@@ -172,13 +169,6 @@ class Timeout(Event):
         self._cb = None
         self._hb = None
         self._edge = None
-        edgelog = sim.edgelog
-        if edgelog is not None:
-            # Timers never pass through succeed() — Simulator.run delivers
-            # them directly — so the edge must be stamped at creation.
-            edgelog.annotate(
-                self, "timeout", kind="resource", initiator=sim.current_process
-            )
         sim._seq = seq = sim._seq + 1
         rng = sim._perturb_rng
         _heappush(
@@ -213,11 +203,6 @@ class LateTimeout(Event):
         if delay < 0:
             raise SimError("negative timeout: %r" % (delay,))
         super().__init__(sim)
-        edgelog = sim.edgelog
-        if edgelog is not None:
-            edgelog.annotate(
-                self, "timeout", kind="resource", initiator=sim.current_process
-            )
         sim._push(sim._now + delay, self, value, rank=self.RANK)
 
 
@@ -246,12 +231,6 @@ class Process(Event):
         #: sim locks currently owned by this process (repro.sim.sync
         #: maintains this); a process must release them before returning.
         self.held_locks: List[Any] = []
-        sanitizer = sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_spawn(self)
-        edgelog = sim.edgelog
-        if edgelog is not None:
-            edgelog.on_spawn(self, sim.current_process, sim._now)
         # Kick off on the next loop iteration.
         sim._seq = seq = sim._seq + 1
         rng = sim._perturb_rng
@@ -267,7 +246,7 @@ class Process(Event):
         )
 
     def _resume_ok(self, _event: Optional[Event]) -> None:
-        """First step (and legacy success-only resume): no receive hooks."""
+        """First step: nothing was received, so no resume hook."""
         sim = self.sim
         sim.current_process = self
         try:
@@ -288,12 +267,9 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        sanitizer = sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_receive(self, event)
-        edgelog = sim.edgelog
-        if edgelog is not None:
-            edgelog.on_resume(self, event, sim._now)
+        hook = sim._resume_hook
+        if hook is not None:
+            hook(self, event)
         sim.current_process = self
         try:
             if event._ok:
@@ -430,14 +406,14 @@ class Simulator:
         self._heap: List = []
         self._seq = 0  # tie-break so heap order is FIFO and deterministic
         self._pending_error: Optional[BaseException] = None
-        #: span recorder; the no-op default costs one branch per probe site
-        #: and never advances simulated time (see repro.trace).
-        self.tracer = NULL_TRACER
-        #: analysis hook (see repro.analysis.sanitizer); None = zero overhead.
+        #: observers (repro.trace, repro.analysis.sanitizer, repro.critpath);
+        #: None is each one's off-state.  Attach the last two only through
+        #: set_observer, which rebinds the kernel's entry points.
+        self.tracer = None
         self.sanitizer = None
-        #: wakeup-edge recorder (see repro.critpath); attach and detach it
-        #: only through set_edgelog, which rebinds the release entry points.
         self.edgelog = None
+        #: per-resume observer call, or None; set only by set_observer.
+        self._resume_hook = None
         #: the Process currently executing a step, or None in kernel context.
         self.current_process: Optional["Process"] = None
         #: seeded RNG for schedule perturbation; None keeps FIFO tie-break.
@@ -525,9 +501,39 @@ class Simulator:
         )
 
     def _call_later_recording(self, delay: float, fn: Callable, arg: Any) -> None:
-        """:meth:`_call_later` with an edgelog attached: a real Timeout, which
-        stamps its timer edge at creation (critpath counts those edges)."""
+        """:meth:`_call_later` with an edgelog attached: a real, observed
+        Timeout, which stamps its timer edge (critpath counts those edges)."""
         self.timeout(delay).add_callback(lambda _ev: fn(arg))
+
+    # -- observed overlays (bound by set_observer) ---------------------------
+
+    def _spawn_observed(self, gen: Generator, name: str = "") -> Process:
+        proc = Simulator.spawn(self, gen, name)
+        if self.sanitizer is not None:
+            self.sanitizer.on_spawn(proc)
+        if self.edgelog is not None:
+            self.edgelog.on_spawn(proc, self.current_process, self._now)
+        return proc
+
+    def _timeout_observed(self, delay: float, value: Any = None) -> Timeout:
+        return self._stamp_timer(Simulator.timeout(self, delay, value))
+
+    def _timeout_late_observed(self, delay: float, value: Any = None) -> LateTimeout:
+        return self._stamp_timer(Simulator.timeout_late(self, delay, value))
+
+    def _stamp_timer(self, timer: Event) -> Any:
+        # Timers never pass through wake() — Simulator.run delivers them
+        # directly — so the edge is stamped at creation.
+        self.edgelog.annotate(
+            timer, "timeout", kind="resource", initiator=self.current_process
+        )
+        return timer
+
+    def _resume_observed(self, proc: Process, event: Event) -> None:
+        if self.sanitizer is not None:
+            self.sanitizer.on_receive(proc, event)
+        if self.edgelog is not None:
+            self.edgelog.on_resume(proc, event, self._now)
 
     # -- releasing waiters ---------------------------------------------------
 
@@ -555,9 +561,9 @@ class Simulator:
         requested the activity; hand-offs only need ``queued_at`` (when the
         waiter began waiting).  Hot callers pass them positionally.
 
-        This method ignores them: with no edgelog it is exactly the trigger.
-        :meth:`set_edgelog` overlays :meth:`_wake_recording`, which stamps
-        the edge and then calls this.  The ``unlabeled-wakeup`` lint rule
+        This method ignores them: it is exactly the trigger.
+        :meth:`set_observer` overlays :meth:`_wake_observed`, which stamps
+        the edge, calls this, then stamps the sanitizer's clock.  The ``unlabeled-wakeup`` lint rule
         keeps bare ``succeed()`` calls, which carry no resource label, out
         of :mod:`repro.sim`.
         """
@@ -565,9 +571,6 @@ class Simulator:
             raise SimError("event already triggered")
         event._value = value
         event._ok = True
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_send(event)
         self._seq = seq = self._seq + 1
         rng = self._perturb_rng
         _heappush(
@@ -575,7 +578,7 @@ class Simulator:
             (self._now, rng.random() if rng is not None else 0.0, seq, event, _PENDING),
         )
 
-    def _wake_recording(
+    def _wake_observed(
         self,
         event: Event,
         value: Any = None,
@@ -587,41 +590,57 @@ class Simulator:
         initiator: Any = None,
         track: Optional[str] = None,
     ) -> None:
-        """:meth:`wake` with an edgelog attached: stamp the edge, then trigger."""
-        if resource is not None:
-            self.edgelog.annotate(
-                event,
-                resource,
-                category=category,
-                kind=kind,
-                begin=begin,
-                queued_at=queued_at,
-                initiator=initiator,
-                track=track,
-            )
-        elif event._edge is None:
-            # Un-annotated trigger (engine-level future): generic hand-off
-            # edge so the critical path still flows through the waker.
-            self.edgelog.annotate(event, "event")
-        # The class method, not self.wake: while attached, that is us.
-        Simulator.wake(self, event, value)
-
-    def set_edgelog(self, edgelog: Any) -> None:
-        """Attach ``edgelog`` (None detaches it) and rebind the entry points.
-
-        The decision "is an edgelog attached?" is taken here, once, instead
-        of on every release or burst: attaching overlays the recording
-        variants of :meth:`wake` and :meth:`_call_later` as instance
-        attributes, and detaching removes them so the class methods — the
-        plain path — are back.  Safe at any point between events.
-        """
-        self.edgelog = edgelog
+        """:meth:`wake` with an observer attached: stamp the edge, trigger,
+        then stamp the triggerer's happens-before clock."""
+        edgelog = self.edgelog
         if edgelog is not None:
-            self.wake = self._wake_recording
+            if resource is not None:
+                edgelog.annotate(
+                    event,
+                    resource,
+                    category=category,
+                    kind=kind,
+                    begin=begin,
+                    queued_at=queued_at,
+                    initiator=initiator,
+                    track=track,
+                )
+            elif event._edge is None:
+                # Un-annotated trigger (engine-level future): generic
+                # hand-off edge so the critical path flows through the waker.
+                edgelog.annotate(event, "event")
+        # The class method, not self.wake: while observed, that is us.
+        Simulator.wake(self, event, value)
+        if self.sanitizer is not None:
+            self.sanitizer.on_send(event)
+
+    def set_observer(self, name: str, observer: Any) -> None:
+        """Attach observer ``name`` (``"sanitizer"``/``"edgelog"``; None
+        detaches it) and decide, once, every kernel hook: the observed
+        variants of :meth:`wake`, :meth:`spawn`, the resume hook and (for
+        an edgelog) the timers and :meth:`_call_later` are overlaid as
+        instance attributes; with nothing attached the class methods, the
+        plain path, are back.  Safe at any point between events."""
+        if name not in ("sanitizer", "edgelog"):
+            raise ValueError("unknown simulator observer %r" % (name,))
+        setattr(self, name, observer)
+        for attr in ("wake", "spawn", "timeout", "timeout_late", "_call_later"):
+            # delattr, not vars(self).pop: materializing the instance dict
+            # would slow every later attribute load on the simulator.
+            try:
+                delattr(self, attr)
+            except AttributeError:
+                pass
+        if self.sanitizer is None and self.edgelog is None:
+            self._resume_hook = None
+            return
+        self.wake = self._wake_observed
+        self.spawn = self._spawn_observed
+        self._resume_hook = self._resume_observed
+        if self.edgelog is not None:
+            self.timeout = self._timeout_observed
+            self.timeout_late = self._timeout_late_observed
             self._call_later = self._call_later_recording
-        else:
-            vars(self).pop("wake", None)
-            vars(self).pop("_call_later", None)
 
     def _crash(self, exc: BaseException) -> None:
         if self._pending_error is None:

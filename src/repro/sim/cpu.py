@@ -74,7 +74,7 @@ class ThreadContext:
             self.perf.add_wait(category, dt)
         if self.sim is not None and dt > 0:
             tracer = self.sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 now = self.sim.now
                 tracer.complete(category, "wait", self.track, now - dt, now)
 
@@ -215,7 +215,7 @@ class CPUSet:
             else:
                 series.add_interval(started, end, 1.0)
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # Core-occupancy view: one row per core, labelled by the burst.
             tracer.complete(
                 category,
@@ -230,7 +230,7 @@ class CPUSet:
         perf = ctx.perf
         if perf is not None:
             perf.cpu_busy_seconds += duration
-        if tracer.enabled and duration > 0:
+        if tracer is not None and duration > 0:
             tracer.complete(category, "busy", ctx.track, end - duration, end)
         self.busy_by_kind[ctx.kind] += duration
         self._busy[core] = False

@@ -254,7 +254,7 @@ class StorageDevice:
         else:
             self.io_count.add("%s:fault" % kind)
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             args = {"bytes": nbytes}
             if exc is not None:
                 args["fault"] = exc.code

@@ -151,7 +151,7 @@ class MemTable:
     def add(self, seq: int, vtype: int, key: bytes, value: bytes) -> None:
         if self._sim is not None:
             tracer = self._sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant(
                     "memtable:add",
                     "memtable",

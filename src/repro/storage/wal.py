@@ -65,7 +65,7 @@ class LogWriter:
         """Append one record; returns its encoded size in bytes."""
         data = encode_record(payload, rtype, gsn)
         tracer = self.vfile.disk.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 "wal:append",
                 "wal",
@@ -81,7 +81,7 @@ class LogWriter:
 
     def flush(self, category: str = "wal"):
         tracer = self.vfile.disk.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             return self._traced_flush(tracer, category)
         return self.vfile.flush(category)
 

@@ -263,7 +263,7 @@ def build_system(env, args):
 def check_sanitizer(env) -> None:
     """Fail the run (SanitizerError) if --sanitize recorded any finding."""
     sanitizer = env.sim.sanitizer
-    if sanitizer is not None and hasattr(sanitizer, "check"):
+    if sanitizer is not None:
         sanitizer.check()
 
 

@@ -9,11 +9,11 @@ Enable tracing on a machine, run any workload, export:
     ...run the workload...
     write_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
 
-By default every :class:`~repro.sim.core.Simulator` carries the no-op
-:data:`~repro.trace.tracer.NULL_TRACER`: instrumentation points all over the
-stack (submit/route/enqueue, OBM batch formation, write-group phases, WAL,
-memtable, flush/compaction, CPU bursts, device channels) check
-``tracer.enabled`` and cost one branch when tracing is off — and *zero
+By default every :class:`~repro.sim.core.Simulator` has ``tracer = None``,
+the same off-state as its sanitizer and edgelog: instrumentation points all
+over the stack (submit/route/enqueue, OBM batch formation, write-group
+phases, WAL, memtable, flush/compaction, CPU bursts, device channels) check
+``tracer is not None`` and cost one branch when tracing is off — and *zero
 simulated time* always.
 
 See ``docs/TRACING.md`` for the full guide and
@@ -29,20 +29,10 @@ from repro.trace.attribution import (
     span_totals,
 )
 from repro.trace.chrome import to_chrome_events, write_chrome_trace
-from repro.trace.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    thread_track,
-)
+from repro.trace.tracer import Span, Tracer, thread_track
 
 __all__ = [
     "CATEGORIES",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "fig06_breakdown",
@@ -70,6 +60,6 @@ def install_tracer(target, max_events: int = 2_000_000) -> Tracer:
 
 
 def uninstall_tracer(target) -> None:
-    """Restore the zero-overhead null tracer."""
+    """Detach the tracer: ``sim.tracer`` is None again (tracing off)."""
     sim = getattr(target, "sim", target)
-    sim.tracer = NULL_TRACER
+    sim.tracer = None

@@ -13,8 +13,8 @@ Two invariants keep tracing honest:
   workload end at the *identical* simulated time (asserted by
   ``tests/test_trace.py``).
 * **Zero-overhead default**: every :class:`~repro.sim.core.Simulator` starts
-  with the :data:`NULL_TRACER`, whose ``enabled`` is False.  Hot paths guard
-  with ``if tracer.enabled:`` so the disabled cost is one attribute load and
+  with ``sim.tracer = None``.  Hot paths guard with
+  ``if tracer is not None:`` so the disabled cost is one attribute load and
   a branch.
 
 Span kinds:
@@ -33,12 +33,9 @@ Only *finished* spans are recorded; a span still open when the trace is
 exported is silently absent.
 """
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "thread_track",
@@ -75,10 +72,6 @@ class Span:
         self.aid = aid  # async-event id; None for synchronous spans
 
     @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
-    @property
     def finished(self) -> bool:
         return self.end is not None
 
@@ -108,35 +101,12 @@ class Span:
         )
 
 
-class _NullSpan:
-    """Shared do-nothing span handed out by the null tracer."""
-
-    __slots__ = ()
-    aid = None
-    finished = False
-    duration = 0.0
-
-    def set(self, **args: Any) -> "_NullSpan":
-        return self
-
-    def finish(self, **args: Any) -> "_NullSpan":
-        return self
-
-    def __repr__(self) -> str:
-        return "<NULL_SPAN>"
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Collects finished spans and instants, in simulated time.
 
     ``max_events`` bounds memory on long runs: past the cap new events are
     counted in ``dropped`` instead of stored (the exporter reports the loss).
     """
-
-    enabled = True
 
     def __init__(self, sim, max_events: int = 2_000_000):
         self.sim = sim
@@ -228,35 +198,3 @@ class Tracer:
         self.events.clear()
         self.dropped = 0
 
-
-class NullTracer:
-    """The zero-overhead default: records nothing, returns no-op spans."""
-
-    enabled = False
-    events: Iterable[Span] = ()
-    dropped = 0
-    sim = None
-
-    def begin(self, name, cat, track, args=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def async_begin(self, name, cat, track, args=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def complete(self, name, cat, track, start, end, args=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def instant(self, name, cat, track, args=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def spans(self, track=None, cat=None, name=None):
-        return iter(())
-
-    def tracks(self):
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.core import adapter_factory
 from repro.critpath import (
     EXPERIMENTS,
@@ -86,14 +87,30 @@ def _release_every_primitive(sim, cpu, dev, lock, queue, cond):
 
 
 def _plain_bindings(sim):
+    overlays = ("wake", "spawn", "timeout", "timeout_late", "_call_later")
     return (
-        "wake" not in vars(sim)
-        and "_call_later" not in vars(sim)
+        not any(attr in vars(sim) for attr in overlays)
         and sim.wake.__func__ is Simulator.wake
+        and sim.spawn.__func__ is Simulator.spawn
+        and sim.timeout.__func__ is Simulator.timeout
         and sim._call_later.__func__ is Simulator._call_later
+        and sim._resume_hook is None
     )
 
 
+def _finished_process(sim):
+    """A process whose completion was released inside that process, the
+    release the sanitizer stamps with a happens-before clock."""
+
+    def step():
+        yield sim.timeout(1e-6)
+
+    proc = sim.spawn(step())
+    sim.run()
+    return proc
+
+
+@pytest.mark.no_sanitize  # attaches and detaches its own sanitizer
 def test_edgelog_install_uninstall():
     sim = Simulator()
     cpu = CPUSet(sim, n_cores=1)
@@ -101,6 +118,7 @@ def test_edgelog_install_uninstall():
     primitives = (cpu, dev, Lock(sim, "l"), FIFOQueue(sim, "q"), Condition(sim, "c"))
     _release_every_primitive(sim, *primitives)
     assert sim.now > 0 and _plain_bindings(sim)
+    assert _finished_process(sim)._hb is None
 
     # Attach to a simulator that has already run: every release site must
     # record its typed edge from then on.
@@ -125,6 +143,35 @@ def test_edgelog_install_uninstall():
     before = log.counts()
     _release_every_primitive(sim, *primitives)
     assert log.counts() == before
+
+    # A sanitizer alone overlays the release, spawn and resume hooks, not
+    # the timers: releases get happens-before clocks and no edges.
+    sanitizer = Sanitizer().attach(sim)
+    assert sim.sanitizer is sanitizer and not _plain_bindings(sim)
+    assert "timeout" not in vars(sim) and "_call_later" not in vars(sim)
+    proc = _finished_process(sim)
+    assert proc._hb is not None and proc._edge is None
+
+    # Both attached: one overlay runs both hooks.
+    log = install_edgelog(sim)
+    proc = _finished_process(sim)
+    assert proc._hb is not None and proc._edge is not None
+
+    # Edgelog detached, sanitizer kept: edges stop, clocks continue.
+    uninstall_edgelog(sim)
+    assert not _plain_bindings(sim)
+    before = log.counts()
+    _release_every_primitive(sim, *primitives)
+    proc = _finished_process(sim)
+    assert log.counts() == before
+    assert proc._hb is not None and proc._edge is None
+    assert not sanitizer.findings
+
+    sim.set_observer("sanitizer", None)
+    assert _plain_bindings(sim)
+    assert _finished_process(sim)._hb is None
+    with pytest.raises(ValueError):
+        sim.set_observer("tracer", None)
 
 
 def test_edgelog_records_resumes_and_spawns():

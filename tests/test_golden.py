@@ -9,7 +9,7 @@ ordering, cost arithmetic or record encoding fails here first.
 
 Each pinned configuration is also re-run under ``--schedule-seed`` and with
 the observability hooks attached (sanitizer, zone profiler, critpath
-edgelog), asserting the *same* fingerprint: the one-branch-off hook
+edgelog), asserting the *same* fingerprint: the observer off-state
 contract means none of them may perturb simulated results.
 
 Refresh (only when a sim-side change is intentional)::
@@ -162,6 +162,20 @@ def test_critpath_blame_golden(tmp_path):
 def test_critpath_blame_schedule_seed_invariant(tmp_path):
     blame = _critpath_blame(["--schedule-seed", "5"], str(tmp_path / "cp"))
     check("critpath:fillrandom:p2kvs", fingerprint(blame))
+
+
+def test_dbbench_all_observers_off_path(tmp_path):
+    """Tracer, edgelog and sanitizer on one Simulator: the kernel's observed
+    overlays then run both the edge and the happens-before hooks, and
+    neither blame nor simulated results may move."""
+    result = _dbbench_result(
+        "fillrandom",
+        ["--system", "p2kvs", "--sanitize"],
+        critpath_base=str(tmp_path / "cp"),
+    )
+    check("critpath:fillrandom:p2kvs", fingerprint(result.pop("critpath")))
+    result.pop("latency_attribution")
+    check("dbbench:fillrandom:p2kvs", fingerprint(result))
 
 
 # -- serve (sharded service plane) ------------------------------------------

@@ -439,18 +439,30 @@ def test_dbbench_profile_zone_names(tmp_path, monkeypatch, capsys):
     assert set(json.loads(out.read_text())["zones"]) == DBBENCH_ZONES
 
 
-def test_serve_profile_zone_names(tmp_path, capsys):
+def _with_suite_sanitizer(request, zones):
+    """Under ``pytest --sanitize`` every Simulator carries a sanitizer, so a
+    run that opens its own also reports the ``obs.sanitize`` zone."""
+    if request.config.getoption("--sanitize"):
+        return zones | {"obs.sanitize"}
+    return zones
+
+
+def test_serve_profile_zone_names(tmp_path, capsys, request):
     out = tmp_path / "prof.json"
     _serve_json(tmp_path, "zones", ["--monitor", "--profile-out", str(out)])
-    assert set(json.loads(out.read_text())["zones"]) == SERVE_ZONES
+    assert set(json.loads(out.read_text())["zones"]) == _with_suite_sanitizer(
+        request, SERVE_ZONES
+    )
 
 
-def test_profile_tool_zone_names(tmp_path, capsys):
+def test_profile_tool_zone_names(tmp_path, capsys, request):
     from repro.tools import profile
 
     out = tmp_path / "prof.json"
     assert profile.main(["--json", str(out)]) == 0
-    assert set(json.loads(out.read_text())["zones"]) == PROFILE_ZONES
+    assert set(json.loads(out.read_text())["zones"]) == _with_suite_sanitizer(
+        request, PROFILE_ZONES
+    )
 
 
 def test_disabled_probes_never_touch_the_profiler(monkeypatch):

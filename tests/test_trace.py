@@ -8,8 +8,6 @@ import pytest
 from repro.core import P2KVS
 from repro.engine import LSMEngine, make_env, rocksdb_options
 from repro.trace import (
-    NULL_SPAN,
-    NULL_TRACER,
     CATEGORIES,
     Tracer,
     fig06_from_contexts,
@@ -50,26 +48,15 @@ def run_p2kvs_workload(env, n_ops=300, n_workers=2, value_size=112):
 class TestTracerBasics:
     def test_simulator_defaults_to_null_tracer(self):
         env = make_env(n_cores=4)
-        assert env.sim.tracer is NULL_TRACER
-        assert not env.sim.tracer.enabled
+        assert env.sim.tracer is None
 
     def test_install_and_uninstall(self):
         env = make_env(n_cores=4)
         tracer = install_tracer(env)
         assert env.sim.tracer is tracer
-        assert tracer.enabled and tracer.sim is env.sim
+        assert tracer.sim is env.sim
         uninstall_tracer(env)
-        assert env.sim.tracer is NULL_TRACER
-
-    def test_null_tracer_is_inert(self):
-        span = NULL_TRACER.begin("x", "c", "t")
-        assert span is NULL_SPAN
-        assert span.set(a=1) is span and span.finish() is span
-        assert not span.finished and span.duration == 0.0
-        assert NULL_TRACER.instant("x", "c", "t") is NULL_SPAN
-        assert list(NULL_TRACER.spans()) == []
-        assert NULL_TRACER.tracks() == []
-        NULL_TRACER.clear()  # no-op, must not raise
+        assert env.sim.tracer is None
 
     def test_unfinished_spans_are_not_recorded(self):
         env = make_env(n_cores=4)
